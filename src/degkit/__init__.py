@@ -56,6 +56,7 @@ from .dsc import (
     h_index_property,
     pi_nsc_decide,
     regular_property,
+    solve,
 )
 from .reductions import (
     ReductionOutput,
@@ -68,7 +69,6 @@ from .reductions import (
 )
 from .generators import gen_cubic, gen_from_reduction, gen_random_dce, gen_random_graph
 from .formats import parse_instance, parse_solution, serialize_instance, serialize_solution
-from .bench import RunRecord, run_bench
 from .errors import (
     DegkitError,
     EdgeConflictError,

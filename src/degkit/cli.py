@@ -1,35 +1,30 @@
 """Command-line interface.
 
 Exit codes: 0 when the command decided its question (yes or no), 1 on
-usage or parse errors, 2 when a search hit its resource limit.
+usage or parse errors and on a witness that fails `--verify`, 2 when a
+search hit its resource limit.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+import time
 from pathlib import Path
 
-from .bench import OPERATIONS, run_bench
-from .dce import (
-    DceInstance,
-    EditKind,
-    EditSolution,
-    Kernel,
-    TrivialNo,
-    brute_force_solve,
-    make_dce,
-    solve_e_plus,
-    validate_solution,
-)
-from .dsc import DscInstance, anonymize, dsc_solve
-from .errors import InvalidInputError, ParseError, ResourceLimitError
+from .dce import DceInstance, EditSolution, TrivialNo, kernelize_kr, make_dce, validate_solution
+from .dsc import DscInstance, anonymity_property, solve
+from .errors import DegkitError, InternalInvariantError, InvalidInputError, ResourceLimitError
 from .factors import f_factor
 from .formats import parse_instance, serialize_instance, serialize_solution
 from .generators import REDUCTION_KINDS, gen_cubic, gen_from_reduction, gen_random_dce
 from .graph import add_edges, degree_sequence
 from .nce import make_nce, nce_traceback
 from .winwin import TrivialYes, kernelize_r
+
+KERNELS = {"kr": kernelize_kr, "r": kernelize_r}
+BENCH_OPERATIONS = ("solve", "kernelize-kr", "kernelize-r")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,58 +40,61 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load(path: str) -> DceInstance | DscInstance:
+def _load(path: str | Path) -> DceInstance | DscInstance:
     return parse_instance(Path(path).read_text())
 
 
-def _edges_to_solution(edges) -> EditSolution:
-    return EditSolution(tuple(("add", u, v) for u, v in sorted(edges)))
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-def _limits(args) -> dict:
-    return {"node_limit": args.limit} if args.limit else {}
+def _verify(inst: DceInstance | DscInstance, sol: EditSolution) -> None:
+    """Re-check a YES witness on the input; a witness that fails is a defect."""
+    try:
+        if isinstance(inst, DceInstance):
+            validate_solution(inst, sol)
+            return
+        final = degree_sequence(add_edges(inst.graph, [edit[1:] for edit in sol.edits]))
+    except InvalidInputError as exc:
+        raise InternalInvariantError(f"witness failed verification: {exc}") from exc
+    if (
+        len(sol) > inst.k
+        or any(edit[0] != "add" for edit in sol.edits)
+        or not inst.prop.fulfills(final)
+        or (inst.delta_prime is not None and final and final[0] > inst.delta_prime)
+    ):
+        raise InternalInvariantError("witness failed verification")
+
+
+def _emit_solution(inst: DceInstance | DscInstance, sol: EditSolution | None, args) -> None:
+    text = serialize_solution(sol)
+    if sol is not None and args.verify:
+        _verify(inst, sol)
+        text += "c verified\n"
+    _emit(text, args.output)
+
+
+def _kernelize(inst: DceInstance | DscInstance, param: str):
+    if not isinstance(inst, DceInstance):
+        raise InvalidInputError("kernelization applies to dce instances")
+    return KERNELS[param](inst)
 
 
 def _cmd_solve(args) -> int:
     inst = _load(args.instance)
-    if isinstance(inst, DscInstance):
-        delta = args.delta_prime or inst.graph.max_degree() + inst.k
-        enum_kw = {"enum_limit": args.limit} if args.limit else {}
-        edges = dsc_solve(DscInstance(inst.graph, inst.k, inst.prop, delta), **enum_kw)
-        sol = None if edges is None else _edges_to_solution(edges)
-        if sol is not None and args.verify:
-            final = degree_sequence(add_edges(inst.graph, edges))
-            assert inst.prop.fulfills(final), "solution failed verification"
-    else:
-        if inst.op_kind is EditKind.EDGE_ADDITION:
-            sol = solve_e_plus(inst, **_limits(args))
-        else:
-            sol = brute_force_solve(inst, **_limits(args))
-        if sol is not None and args.verify:
-            validate_solution(inst, sol)
-    text = serialize_solution(sol)
-    if sol is not None and args.verify:
-        text += "c verified\n"
-    _emit(text, args.output)
+    if args.delta_prime is not None and isinstance(inst, DscInstance):
+        inst = DscInstance(inst.graph, inst.k, inst.prop, args.delta_prime)
+    _emit_solution(inst, solve(inst, args.limit), args)
     return 0
 
 
 def _cmd_kernelize(args) -> int:
-    inst = _load(args.instance)
-    if not isinstance(inst, DceInstance):
-        raise InvalidInputError("kernelization applies to dce instances")
-    if args.param == "kr":
-        from .dce import kernelize_kr
-
-        result = kernelize_kr(inst)
-    else:
-        result = kernelize_r(inst)
+    result = _kernelize(_load(args.instance), args.param)
     if isinstance(result, TrivialNo):
         _emit("NO\n", args.output)
     elif isinstance(result, TrivialYes):
         _emit(serialize_solution(result.witness), args.output)
     else:
-        assert isinstance(result, Kernel)
         mapping = " ".join(str(v + 1) for v in result.old_of_new)
         text = f"c kernel of {args.instance}\nc original-vertices {mapping}\n"
         _emit(text + serialize_instance(result.instance), args.output)
@@ -152,18 +150,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_anonymize(args) -> int:
-    inst = _load(args.instance)
-    edges = anonymize(inst.graph, args.anonymity, args.budget)
-    sol = None if edges is None else _edges_to_solution(edges)
-    if edges is not None and args.verify:
-        from .dsc import anonymity_fulfills
-
-        final = degree_sequence(add_edges(inst.graph, edges))
-        assert anonymity_fulfills(final, args.anonymity), "solution failed verification"
-    text = serialize_solution(sol)
-    if sol is not None and args.verify:
-        text += "c verified\n"
-    _emit(text, args.output)
+    g = _load(args.instance).graph
+    inst = DscInstance(g, args.budget, anonymity_property(args.anonymity))
+    _emit_solution(inst, solve(inst), args)
     return 0
 
 
@@ -179,72 +168,120 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _bench_record(path: Path, operation: str) -> dict:
+    """One JSONL record; a failure is recorded with its class, not raised."""
+    started = time.perf_counter()
+    record = {
+        "instance": path.name,
+        "operation": operation,
+        "parameters": {},
+        "vertices_before": 0,
+        "vertices_after": None,
+    }
+    try:
+        inst = _load(path)
+        if isinstance(inst, DceInstance):
+            params = {"k": inst.k, "r": inst.r, "op": inst.op_kind.value}
+        else:
+            params = {"k": inst.k, "property": inst.prop.name}
+        after = None
+        if operation == "solve":
+            sol = solve(inst)
+            result = "no" if sol is None else f"yes {len(sol.edits)}"
+        else:
+            reduced = _kernelize(inst, operation.split("-")[1])
+            after = 0
+            if isinstance(reduced, TrivialNo):
+                result = "trivial-no"
+            elif isinstance(reduced, TrivialYes):
+                result = f"trivial-yes {len(reduced.witness.edits)}"
+            else:
+                result, after = "kernel", reduced.instance.graph.vertex_count
+        record.update(
+            parameters=params,
+            result=result,
+            vertices_before=inst.graph.vertex_count,
+            vertices_after=after,
+        )
+    except Exception as exc:  # recorded per instance; the run goes on
+        record["result"] = f"error: {_describe(exc)}"
+    record["wall_ms"] = (time.perf_counter() - started) * 1000.0
+    return record
+
+
 def _cmd_bench(args) -> int:
-    records = run_bench(args.corpus, args.op, args.records, jobs=args.jobs)
-    failures = sum(1 for rec in records if rec.result.startswith("error"))
-    print(f"ran {len(records)} instances, {failures} errors -> {args.records}")
+    corpus = sorted(p for p in Path(args.corpus).iterdir() if p.suffix in (".dce", ".dsc"))
+    failures = 0
+    with open(args.records, "a") as sink:
+        for path in corpus:
+            record = _bench_record(path, args.op)
+            failures += record["result"].startswith("error")
+            sink.write(json.dumps(record, sort_keys=True) + "\n")
+    print(f"ran {len(corpus)} instances, {failures} errors -> {args.records}")
     return 0
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="degkit", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="generator seed")
-    common.add_argument("--verify", action="store_true", help="re-check YES outputs")
-    common.add_argument("--limit", type=int, default=None, help="search node budget")
-    common.add_argument("-o", "--output", default=None, help="write output to a file")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", default=None, help="write output to a file")
+    verify = argparse.ArgumentParser(add_help=False)
+    verify.add_argument("--verify", action="store_true", help="re-check YES outputs")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[common], help="decide an instance")
+    p = sub.add_parser("solve", parents=[output, verify], help="decide an instance")
     p.add_argument("instance")
+    p.add_argument("--limit", type=int, default=None, help="search node budget")
     p.add_argument("--delta-prime", type=int, default=None)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("kernelize", parents=[common], help="shrink an instance")
+    p = sub.add_parser("kernelize", parents=[output], help="shrink an instance")
     p.add_argument("instance")
-    p.add_argument("--param", choices=("kr", "r"), default="kr")
+    p.add_argument("--param", choices=tuple(KERNELS), default="kr")
     p.set_defaults(func=_cmd_kernelize)
 
-    p = sub.add_parser("nce", parents=[common], help="numeric completion on the degrees")
+    p = sub.add_parser("nce", parents=[output], help="numeric completion on the degrees")
     p.add_argument("instance")
     p.add_argument("--target", type=int, default=None)
     p.set_defaults(func=_cmd_nce)
 
-    p = sub.add_parser("ffactor", parents=[common], help="exact-degree subgraph")
+    p = sub.add_parser("ffactor", parents=[output], help="exact-degree subgraph")
     p.add_argument("instance")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--demands", help="comma-separated per-vertex degrees")
     group.add_argument("--uniform", type=int, help="same target degree everywhere")
     p.set_defaults(func=_cmd_ffactor)
 
-    p = sub.add_parser("reduce", parents=[common], help="build a hardness instance")
+    p = sub.add_parser("reduce", parents=[output], help="build a hardness instance")
     p.add_argument("instance")
     p.add_argument("--from", dest="source", choices=REDUCTION_KINDS, required=True)
     p.add_argument("--size", type=int, required=True, help="h of the source problem")
     p.add_argument("--cover", help="comma-separated 1-based cover vertices")
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("anonymize", parents=[common], help="k-anonymize by edge additions")
+    p = sub.add_parser(
+        "anonymize", parents=[output, verify], help="k-anonymize by edge additions"
+    )
     p.add_argument("instance")
     p.add_argument("-k", "--anonymity", type=int, required=True)
     p.add_argument("-s", "--budget", type=int, required=True)
     p.set_defaults(func=_cmd_anonymize)
 
-    p = sub.add_parser("gen", parents=[common], help="generate instances")
+    p = sub.add_parser("gen", parents=[output], help="generate instances")
     p.add_argument("kind", choices=("dce", "cubic"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--edge-prob", type=float, default=0.2)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--density", type=float, default=0.5)
+    p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("bench", parents=[common], help="run a corpus, record JSONL")
+    p = sub.add_parser("bench", help="run a corpus, record JSONL")
     p.add_argument("corpus")
-    p.add_argument("--op", choices=OPERATIONS, default="solve")
+    p.add_argument("--op", choices=BENCH_OPERATIONS, default="solve")
     p.add_argument("--records", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_bench)
 
     return parser
@@ -255,14 +292,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DegkitError, FileNotFoundError) as exc:
+        print(f"error: {_describe(exc)}", file=sys.stderr)
         return 1
 
 

@@ -43,9 +43,6 @@ class DegreeListFunction:
     def __getitem__(self, v: int) -> frozenset[int]:
         return self.lists[v]
 
-    def encoding_size(self) -> int:
-        return len(self.lists) + sum(len(s) for s in self.lists)
-
 
 def make_tau(r: int, lists: Sequence[Iterable[int]]) -> DegreeListFunction:
     return DegreeListFunction(r, tuple(frozenset(s) for s in lists))

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from collections.abc import Callable, Sequence
 
+from .dce import DceInstance, EditKind, EditSolution, brute_force_solve, solve_e_plus
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from .graph import Edge, Graph
 from .winwin import realize_demands
@@ -423,3 +424,28 @@ def anonymize(g: Graph, k_anon: int, budget: int) -> set[Edge] | None:
         raise InvalidInputError("budget must be nonnegative")
     inst = DscInstance(g, budget, anonymity_property(k_anon), g.max_degree() + budget)
     return dsc_solve(inst)
+
+
+# -- one entry point for every instance kind ---------------------------------------
+
+
+def solve(inst: DceInstance | DscInstance, limit: int | None = None) -> EditSolution | None:
+    """A witness as edits for any instance kind, or None for a no-instance.
+
+    Edge addition is kernelized, then searched; edge and vertex deletion get
+    the exact anchored search; sequence completion runs the large-solution
+    branch, the clamp and the block-set search, with delta_prime defaulting
+    to max degree + k. `limit` bounds the search: nodes for the anchored
+    search, candidate sets for the sequence-completion enumeration.
+    """
+    if isinstance(inst, DscInstance):
+        delta = inst.delta_prime
+        if delta is None:
+            delta = inst.graph.max_degree() + inst.k
+        work = DscInstance(inst.graph, inst.k, inst.prop, delta)
+        edges = dsc_solve(work) if limit is None else dsc_solve(work, enum_limit=limit)
+        if edges is None:
+            return None
+        return EditSolution(tuple(("add", u, v) for u, v in sorted(edges)))
+    search = solve_e_plus if inst.op_kind is EditKind.EDGE_ADDITION else brute_force_solve
+    return search(inst) if limit is None else search(inst, node_limit=limit)

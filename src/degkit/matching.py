@@ -100,7 +100,3 @@ def max_matching(g: Graph) -> set[Edge]:
                 end = next_end
 
     return {(u, match[u]) for u in range(n) if match[u] > u}
-
-
-def is_perfect(g: Graph, matching: set[Edge]) -> bool:
-    return 2 * len(matching) == g.vertex_count

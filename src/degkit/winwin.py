@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 from .dce import (
     DceInstance,
-    EditKind,
     EditSolution,
     Kernel,
     TrivialNo,
+    _require_edge_addition,
     kernelize_kr,
     validate_solution,
 )
@@ -72,8 +72,7 @@ def try_large_solution(inst: DceInstance) -> EditSolution | None:
     Realization is guaranteed once the numeric problem says yes at such a
     k', so a failure there is a defect, not a legal outcome.
     """
-    if inst.op_kind is not EditKind.EDGE_ADDITION:
-        raise InvalidInputError("try_large_solution applies to edge-addition instances only")
+    _require_edge_addition(inst, "try_large_solution")
     r = inst.r
     threshold = solution_threshold(r)
     if inst.k < threshold:
@@ -103,7 +102,6 @@ def try_large_solution(inst: DceInstance) -> EditSolution | None:
             raise InternalInvariantError("all-targets table disagrees with traceback")
         demand = [x - d for x, d in zip(final, degrees)]
         affected = [v for v in range(g.vertex_count) if demand[v] > 0]
-        assert all(final[v] == degrees[v] for v in range(g.vertex_count) if demand[v] == 0)
         if affected and len(affected) < 2 * (r + 1) ** 2:
             raise InternalInvariantError(
                 f"only {len(affected)} affected vertices at total {2 * k_prime}"
@@ -127,8 +125,7 @@ def kernelize_r(inst: DceInstance) -> KernelResult:
     size in between exists). The type-set kernel then bounds the instance
     by 2k'' + rk''(r+2) vertices with k'' = min(k, r(r+1)^2).
     """
-    if inst.op_kind is not EditKind.EDGE_ADDITION:
-        raise InvalidInputError("kernelize_r applies to edge-addition instances only")
+    _require_edge_addition(inst, "kernelize_r")
     work = inst
     threshold = solution_threshold(inst.r)
     if inst.k > threshold:

@@ -1,22 +1,54 @@
 """End-to-end command-line behavior, including generators and the bench harness."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from degkit.cli import main
+import degkit
+from degkit.cli import build_parser, main
 from degkit.errors import InvalidInputError
 from degkit.formats import parse_instance, parse_solution
 from degkit.generators import gen_cubic, gen_random_dce
 
 TRIPLE = "p dce 3 0 3 2\nt 1 2\nt 2 0 2\nt 3 0 2\n"
 STAR = "p dsc 4 3 2 anon 2\ne 1 2\ne 1 3\ne 1 4\n"
+# A valid command line for every subcommand, and the flags beyond `-o` each
+# one reads; bench reads none of them.
+VALID_ARGV = {
+    "solve": ["solve", "x.dce"],
+    "kernelize": ["kernelize", "x.dce"],
+    "nce": ["nce", "x.dce"],
+    "ffactor": ["ffactor", "x.dce", "--uniform", "1"],
+    "reduce": ["reduce", "x.dce", "--from", "vc", "--size", "2"],
+    "anonymize": ["anonymize", "x.dsc", "-k", "2", "-s", "1"],
+    "gen": ["gen", "dce", "--n", "4"],
+    "bench": ["bench", "corpus", "--records", "r.jsonl"],
+}
+READS = {
+    "solve": ("-o", "--verify", "--limit"),
+    "anonymize": ("-o", "--verify"),
+    "gen": ("-o", "--seed"),
+    "bench": (),
+}
+SRC = str(Path(degkit.__file__).resolve().parents[1])
 
 
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports degkit from this source tree."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 class TestGenerators:
@@ -64,6 +96,32 @@ class TestSolveCommand:
     def test_resource_limit_exit_code(self, tmp_path):
         path = write(tmp_path, "triple.dce", TRIPLE)
         assert main(["solve", path, "--limit", "2"]) == 2
+
+    def test_zero_limit_is_a_limit(self, tmp_path):
+        path = write(tmp_path, "triple.dce", TRIPLE)
+        assert main(["solve", path, "--limit", "0"]) == 2
+
+    def test_zero_delta_prime_is_honoured(self, tmp_path, capsys):
+        # Any added edge lifts a degree to 1, above delta' = 0.
+        path = write(tmp_path, "h1.dsc", "p dsc 2 0 1 hindex 1\n")
+        assert main(["solve", path, "--delta-prime", "0"]) == 0
+        assert capsys.readouterr().out == "NO\n"
+        assert main(["solve", path]) == 0
+        assert capsys.readouterr().out.startswith("YES 1")
+
+    def test_bad_witness_fails_verify_under_optimization(self, tmp_path):
+        path = write(tmp_path, "reg.dsc", "p dsc 3 0 1 regular\n")
+        script = (
+            "import sys\n"
+            "import degkit.dsc\n"
+            "degkit.dsc.dsc_solve = lambda *args, **kwargs: {(0, 1)}\n"
+            "from degkit.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = run_python("-O", "-c", script, "solve", path, "--verify")
+        assert proc.returncode == 1
+        assert "c verified" not in proc.stdout
+        assert "InternalInvariantError" in proc.stderr
 
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as err:
@@ -183,7 +241,7 @@ class TestBenchCommand:
         assert len(lines) == 3
         by_name = {json.loads(line)["instance"]: json.loads(line) for line in lines}
         assert by_name["a.dce"]["result"] == "yes 3"
-        assert by_name["b.dce"]["result"].startswith("error")
+        assert by_name["b.dce"]["result"].startswith("error: ParseError: line 1: ")
         assert by_name["c.dsc"]["result"] == "yes 2"
 
     def test_kernel_records_vertex_counts(self, tmp_path):
@@ -207,13 +265,31 @@ class TestBenchCommand:
         assert main(["bench", str(corpus), "--records", str(records_path)]) == 0
         assert records_path.read_text() == ""
 
-    def test_parallel_jobs(self, tmp_path):
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        for i in range(6):
-            (corpus / f"i{i}.dce").write_text(TRIPLE)
-        records_path = tmp_path / "par.jsonl"
-        assert (
-            main(["bench", str(corpus), "--records", str(records_path), "--jobs", "3"]) == 0
-        )
-        assert len(records_path.read_text().splitlines()) == 6
+
+def test_library_import_leaves_out_the_command_line():
+    script = (
+        "import sys\n"
+        "import degkit\n"
+        "print(sorted({'argparse', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "cmd, flag",
+    [
+        (cmd, flag)
+        for cmd in VALID_ARGV
+        for flag in ("--seed=1", "--verify", "--limit=1", "-o=out")
+        if flag.split("=")[0] not in READS.get(cmd, ("-o",))
+    ]
+    + [("bench", "--jobs=2")],
+)
+def test_options_a_command_does_not_read_are_rejected(cmd, flag, capsys):
+    build_parser().parse_args(VALID_ARGV[cmd])
+    with pytest.raises(SystemExit) as err:
+        main(VALID_ARGV[cmd] + [flag])
+    assert err.value.code == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
