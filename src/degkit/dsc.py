@@ -247,13 +247,33 @@ def dsc_bound_k(inst: DscInstance, enum_limit: int = DEFAULT_ENUM_LIMIT) -> Larg
     return Clamp(threshold)
 
 
+def _numeric_witness_within(
+    prop: PiProperty, degrees: Sequence[int], k: int, delta: int
+) -> bool:
+    """Whether some total 2s with s <= k has a numeric witness under delta.
+
+    s edge additions that respect the cap raise the degrees by increments
+    of total 2s, so without any such witness the answer is NO.
+    """
+    max_rise = sum(delta - d for d in degrees)
+    return any(
+        pi_nsc_decide(prop, degrees, 2 * s, delta) is not None
+        for s in range(min(k, max_rise // 2) + 1)
+    )
+
+
 def dsc_solve(
     inst: DscInstance,
     *,
     core_cap: int = DEFAULT_CORE_CAP,
     enum_limit: int = DEFAULT_ENUM_LIMIT,
 ) -> set[Edge] | None:
-    """Full pipeline: large-solution branch, clamp, then the FPT search."""
+    """Full pipeline: large-solution branch, clamp, then the FPT search.
+
+    For a property with its own numeric solver, an instance whose numeric
+    relaxation has no witness at any total 2s, s within the budget, is
+    answered NO before the search.
+    """
     if inst.delta_prime is None:
         raise InvalidInputError("dsc_solve needs a delta_prime budget")
     work_k = inst.k
@@ -262,6 +282,10 @@ def dsc_solve(
         if isinstance(outcome, LargeYes):
             return set(outcome.edges)
         work_k = outcome.k_new
+    if inst.prop.nsc_solver is not None and not _numeric_witness_within(
+        inst.prop, inst.graph.degrees(), work_k, inst.delta_prime
+    ):
+        return None
     work = DscInstance(inst.graph, work_k, inst.prop, inst.delta_prime)
     return dsc_fpt_solve(
         work, delta_cap=inst.delta_prime, core_cap=core_cap, enum_limit=enum_limit

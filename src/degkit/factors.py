@@ -88,22 +88,38 @@ def _factor_via_gadget(g: Graph, h: tuple[int, ...]) -> set[Edge] | None:
             stub[(v, u)] = size
             size += 1
 
+    # The seed is a greedy partial h-factor: take each edge while both
+    # endpoints still have demand left. Its bridge starts the matching,
+    # every other stub of a cell is paired with a free filler of that cell,
+    # and only the demand left unmet starts an augmenting search.
     gadget_edges: list[Edge] = []
+    seed: list[Edge] = []
+    left = list(h)
+    for u, v in g.edges():
+        if h[u] > 0 and h[v] > 0:
+            bridge = (stub[(u, v)], stub[(v, u)])
+            gadget_edges.append(bridge)
+            if left[u] > 0 and left[v] > 0:
+                left[u] -= 1
+                left[v] -= 1
+                seed.append(bridge)
+    bridged = {s for pair in seed for s in pair}
+
     for v in range(n):
         if h[v] == 0:
             continue
-        for _ in range(g.degree(v) - h[v]):
+        cell = [stub[(v, u)] for u in g.adj[v]]
+        spare = [s for s in cell if s not in bridged]
+        for i in range(g.degree(v) - h[v]):
             filler = size
             size += 1
-            for u in g.adj[v]:
-                gadget_edges.append((stub[(v, u)], filler))
-    for u, v in g.edges():
-        if h[u] > 0 and h[v] > 0:
-            gadget_edges.append((stub[(u, v)], stub[(v, u)]))
+            for s in cell:
+                gadget_edges.append((s, filler))
+            seed.append((spare[i], filler))
 
     if size % 2 == 1:
         return None
-    matching = max_matching(Graph(size, gadget_edges))
+    matching = max_matching(Graph(size, gadget_edges), initial=seed)
     if 2 * len(matching) != size:
         return None
 

@@ -23,7 +23,7 @@ from .dsc import (
     h_index_property,
     regular_property,
 )
-from .errors import ParseError
+from .errors import InvalidInputError, ParseError
 from .graph import Graph
 
 _OP_TOKENS = {kind.value: kind for kind in EditKind}
@@ -127,22 +127,27 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
     graph = Graph(n, edges)
     k = _int(header[4], header_line)
 
-    if header[1] == "dce":
-        r = _int(header[5], header_line)
-        op = EditKind.EDGE_ADDITION
-        if len(header) >= 7:
-            if header[6] not in _OP_TOKENS:
-                raise ParseError(f"unknown operation {header[6]!r}", header_line)
-            op = _OP_TOKENS[header[6]]
-        if len(header) > 7:
-            raise ParseError("trailing tokens on the problem line", header_line)
-        full = [lists.get(v, []) for v in range(n)]
-        return make_dce(graph, k, r, full, op)
-    if header[1] == "dsc":
-        prop = _parse_property(header[5:], header_line)
-        if lists:
-            raise ParseError("dsc instances carry no degree lists", header_line)
-        return DscInstance(graph, k, prop)
+    # Header values the instance constructors reject (a negative budget, a
+    # property parameter out of range) are malformed input too.
+    try:
+        if header[1] == "dce":
+            r = _int(header[5], header_line)
+            op = EditKind.EDGE_ADDITION
+            if len(header) >= 7:
+                if header[6] not in _OP_TOKENS:
+                    raise ParseError(f"unknown operation {header[6]!r}", header_line)
+                op = _OP_TOKENS[header[6]]
+            if len(header) > 7:
+                raise ParseError("trailing tokens on the problem line", header_line)
+            full = [lists.get(v, []) for v in range(n)]
+            return make_dce(graph, k, r, full, op)
+        if header[1] == "dsc":
+            prop = _parse_property(header[5:], header_line)
+            if lists:
+                raise ParseError("dsc instances carry no degree lists", header_line)
+            return DscInstance(graph, k, prop)
+    except InvalidInputError as exc:
+        raise ParseError(str(exc), header_line) from exc
     raise ParseError(f"unknown problem kind {header[1]!r}", header_line)
 
 

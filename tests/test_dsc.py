@@ -24,6 +24,7 @@ from degkit.dsc import (
     regular_property,
 )
 from degkit.errors import InvalidInputError, ResourceLimitError
+from degkit.generators import gen_random_graph
 from degkit.graph import Graph, add_edges, degree_sequence
 
 from oracles import brute_dsc, brute_nsc
@@ -187,6 +188,31 @@ class TestDscSolve:
     def test_requires_delta_prime(self):
         with pytest.raises(InvalidInputError):
             dsc_solve(DscInstance(path3(), 1, regular_property()))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_regular_without_numeric_witness_is_no(self, seed):
+        # No common degree c >= max degree has 24c - sum(d) even and at most
+        # 2k, so the numeric relaxation refutes the instance; enumerating
+        # the block-set instead exceeds the candidate limit.
+        g = gen_random_graph(24, 0.3, seed)
+        inst = DscInstance(g, 4, regular_property(), g.max_degree() + 4)
+        assert dsc_solve(inst) is None
+
+    def test_matches_bruteforce_with_cap(self):
+        rng = random.Random(2718)
+        for _ in range(120):
+            g = random_graph(rng.randrange(1, 9), rng.choice([0.0, 0.3, 0.6]), rng)
+            k = rng.randrange(0, 4)
+            delta = g.max_degree() + rng.randrange(0, k + 1)
+            prop = rng.choice([regular_property(), anonymity_property(2)])
+            got = dsc_solve(DscInstance(g, k, prop, delta))
+            expect = brute_dsc(g, k, prop.fulfills, delta)
+            assert (got is None) == (expect is None), (list(g.edges()), k, delta, prop.name)
+            if got is not None:
+                final = add_edges(g, got)
+                assert len(got) <= k
+                assert final.max_degree() <= delta
+                assert prop.fulfills(degree_sequence(final))
 
 
 class TestAnonymity:

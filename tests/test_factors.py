@@ -1,8 +1,11 @@
 """f-factor search against 2^m subgraph enumeration, and the density bound."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degkit.errors import InvalidInputError
 from degkit.factors import f_factor, kt_condition_holds
@@ -77,6 +80,33 @@ class TestFFactor:
             assert (found is not None) == exists
             if found is not None:
                 assert is_valid_factor(g, f, found)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_bruteforce_hypothesis(self, data):
+        n = data.draw(st.integers(1, 7))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [e for e in pairs if data.draw(st.booleans())]
+        g = Graph(n, edges)
+        f = [data.draw(st.integers(0, g.degree(v) + 1)) for v in range(n)]
+        found = f_factor(g, f)
+        assert (found is not None) == brute_f_factor_exists(g, f)
+        if found is not None:
+            assert is_valid_factor(g, f, found)
+
+    def test_half_degree_factor_of_dense_graph_is_fast(self):
+        # G(70, 1/2) with f = deg/2: the gadget has about 3.6k vertices and
+        # needs blossom contractions; a search that resets or relabels all
+        # of them every time takes well over 5 s.
+        g = random_graph(70, 0.5, random.Random(70))
+        f = [d // 2 for d in g.degrees()]
+        if sum(f) % 2 == 1:
+            f[0] += 1
+        start = time.perf_counter()
+        found = f_factor(g, f)
+        elapsed = time.perf_counter() - start
+        assert found is not None and is_valid_factor(g, f, found)
+        assert elapsed < 5.0
 
     def test_all_ones_iff_perfect_matching(self):
         rng = random.Random(77)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degkit.dce import DceInstance, EditKind, EditSolution, make_dce
 from degkit.dsc import DscInstance, anonymity_property
@@ -83,6 +85,69 @@ class TestParseInstance:
     def test_lists_forbidden_in_dsc(self):
         with pytest.raises(ParseError):
             parse_instance("p dsc 2 0 1 regular\nt 1 0\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p dsc 3 0 1 anon 0\n",
+            "p dsc 3 0 1 hindex -1\n",
+            "p dsc 3 0 1 balanced 0\n",
+            "p dsc 3 0 -1 regular\n",
+            "p dce 3 1 1 -2\ne 1 2\n",
+        ],
+    )
+    def test_header_value_out_of_range(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert err.value.line == 1
+
+
+# Integers stay in -3..20, leaning to 0..3 so that endpoints, counts and
+# list entries often fit the header.
+_INT = st.one_of(st.integers(0, 3), st.integers(-3, 20)).map(str)
+_WORD = st.sampled_from(
+    ["dce", "dsc", "regular", "anon", "hindex", "balanced", "e+", "e-", "v-", "x", "1.5"]
+)
+_TOKENS = st.lists(st.one_of(_INT, _WORD), max_size=6)
+_PROPERTY = st.one_of(
+    st.sampled_from(["regular", "", "regular 1"]),
+    st.builds("{} {}".format, st.sampled_from(["anon", "hindex", "balanced", "x"]), _INT),
+)
+_STRAY = st.builds(
+    "{} {}".format, st.sampled_from(["p", "e", "t", "c", "q"]), _TOKENS.map(" ".join)
+)
+
+
+@st.composite
+def _instance_text(draw):
+    """A header with e and t lines that often agree with it, plus stray lines."""
+    n, k, r = draw(_INT), draw(_INT), draw(_INT)
+    edges = draw(st.lists(st.builds("e {} {}".format, _INT, _INT), max_size=6))
+    lists = draw(st.lists(st.lists(_INT, min_size=1, max_size=4).map(" ".join), max_size=4))
+    lists = [f"t {entries}" for entries in lists]
+    m = draw(st.one_of(st.just(str(len(edges))), _INT))
+    if draw(st.booleans()):
+        op = draw(st.sampled_from(["", " e+", " e-", " v-", " x", " e+ 1"]))
+        header = f"p dce {n} {m} {k} {r}{op}"
+    else:
+        header = f"p dsc {n} {m} {k} {draw(_PROPERTY)}"
+        if draw(st.booleans()):
+            lists = []
+    before = draw(st.lists(_STRAY, max_size=1))
+    after = draw(st.lists(_STRAY, max_size=1))
+    return "\n".join([*before, header, *edges, *lists, *after])
+
+
+class TestParserFuzz:
+    # Small integers only: the parser does not cap n, so a huge n would
+    # allocate without bound.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_instance_text())
+    def test_token_grammar_parses_or_raises_parse_error(self, text):
+        try:
+            parse_instance(text)
+        except ParseError:
+            pass
 
 
 class TestRoundTrip:

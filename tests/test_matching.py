@@ -2,6 +2,11 @@
 
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from degkit.errors import InvalidInputError
 from degkit.graph import Graph
 from degkit.matching import max_matching
 
@@ -19,8 +24,8 @@ def petersen() -> Graph:
     return Graph(10, outer + spokes + inner)
 
 
-def check(g: Graph) -> None:
-    matching = max_matching(g)
+def check(g: Graph, initial=()) -> None:
+    matching = max_matching(g, initial=initial)
     used = set()
     for u, v in matching:
         assert g.has_edge(u, v)
@@ -64,3 +69,40 @@ def test_random_graphs_match_bruteforce():
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
         ]
         check(Graph(n, edges))
+
+
+@st.composite
+def graph_with_matching(draw):
+    """A graph on up to 10 vertices and a matching of it, possibly empty."""
+    n = draw(st.integers(0, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    used: set[int] = set()
+    initial = []
+    for u, v in draw(st.permutations(edges)):
+        if u not in used and v not in used and draw(st.booleans()):
+            used.update((u, v))
+            initial.append((u, v))
+    return Graph(n, edges), initial
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graph_with_matching(), st.booleans())
+def test_seeded_matches_bruteforce(case, seeded):
+    g, initial = case
+    check(g, initial if seeded else ())
+
+
+def test_initial_non_edge_rejected():
+    with pytest.raises(InvalidInputError):
+        max_matching(cycle(5), initial=[(0, 2)])
+
+
+def test_initial_out_of_range_rejected():
+    with pytest.raises(InvalidInputError):
+        max_matching(cycle(5), initial=[(4, 5)])
+
+
+def test_initial_overlap_rejected():
+    with pytest.raises(InvalidInputError):
+        max_matching(cycle(5), initial=[(0, 1), (1, 2)])
