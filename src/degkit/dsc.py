@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from collections.abc import Callable, Sequence
 
 from .dce import DceInstance, EditKind, EditSolution, brute_force_solve, solve_e_plus
@@ -230,36 +229,31 @@ def dsc_bound_k(inst: DscInstance, enum_limit: int = DEFAULT_ENUM_LIMIT) -> Larg
     threshold = bound_threshold(inst.delta_prime)
     if inst.k <= threshold:
         raise InvalidInputError(f"budget {inst.k} not above the threshold {threshold}")
-    g = inst.graph
-    degrees = g.degrees()
-    max_rise = sum(inst.delta_prime - d for d in degrees)
-    upper = min(inst.k, max_rise // 2)
-    for k_prime in range(threshold, upper + 1):
-        x = pi_nsc_decide(inst.prop, degrees, 2 * k_prime, inst.delta_prime, enum_limit)
-        if x is None:
-            continue
-        edges = realize_demands(g, x)
-        if edges is None:
-            raise InternalInvariantError(
-                f"realization failed at k'={k_prime} despite the degree-bound guarantee"
-            )
-        return LargeYes(frozenset(edges))
-    return Clamp(threshold)
-
-
-def _numeric_witness_within(
-    prop: PiProperty, degrees: Sequence[int], k: int, delta: int
-) -> bool:
-    """Whether some total 2s with s <= k has a numeric witness under delta.
-
-    s edge additions that respect the cap raise the degrees by increments
-    of total 2s, so without any such witness the answer is NO.
-    """
-    max_rise = sum(delta - d for d in degrees)
-    return any(
-        pi_nsc_decide(prop, degrees, 2 * s, delta) is not None
-        for s in range(min(k, max_rise // 2) + 1)
+    found = _first_numeric_witness(
+        inst.prop, inst.graph.degrees(), threshold, inst.k, inst.delta_prime, enum_limit
     )
+    if found is None:
+        return Clamp(threshold)
+    k_prime, x = found
+    edges = realize_demands(inst.graph, x)
+    if edges is None:
+        raise InternalInvariantError(
+            f"realization failed at k'={k_prime} despite the degree-bound guarantee"
+        )
+    return LargeYes(frozenset(edges))
+
+
+def _first_numeric_witness(
+    prop: PiProperty, degrees: Sequence[int], lo: int, hi: int, delta: int, enum_limit: int
+) -> tuple[int, list[int]] | None:
+    """The least s in lo..hi whose total 2s has a numeric witness under
+    delta, with that witness; totals above the room below delta have none."""
+    max_rise = sum(delta - d for d in degrees)
+    for s in range(lo, min(hi, max_rise // 2) + 1):
+        x = pi_nsc_decide(prop, degrees, 2 * s, delta, enum_limit)
+        if x is not None:
+            return s, x
+    return None
 
 
 def dsc_solve(
@@ -282,9 +276,11 @@ def dsc_solve(
         if isinstance(outcome, LargeYes):
             return set(outcome.edges)
         work_k = outcome.k_new
-    if inst.prop.nsc_solver is not None and not _numeric_witness_within(
-        inst.prop, inst.graph.degrees(), work_k, inst.delta_prime
-    ):
+    # s edge additions under the cap raise the degrees by increments of
+    # total 2s, so without any such numeric witness the answer is NO.
+    if inst.prop.nsc_solver is not None and _first_numeric_witness(
+        inst.prop, inst.graph.degrees(), 0, work_k, inst.delta_prime, enum_limit
+    ) is None:
         return None
     work = DscInstance(inst.graph, work_k, inst.prop, inst.delta_prime)
     return dsc_fpt_solve(
@@ -349,69 +345,69 @@ def anonymity_nsc(
     """Polynomial assignment of target degrees along the sorted sequence.
 
     Targets may be assumed nonincreasing along the nonincreasingly sorted
-    input (a swap argument reorders any witness), so the search groups
-    consecutive runs of at least k_anon positions onto a shared target.
+    input (a swap argument reorders any witness), so a witness groups
+    consecutive runs of at least k_anon positions onto a shared target. A
+    run of 2*k_anon or more positions splits into two runs on the same
+    target, so runs shorter than 2*k_anon suffice. The table is filled
+    bottom-up: bit s of reach[i][c] says that positions i.. can rise by s
+    in total with every target at most c.
     """
     if k_anon < 1:
         raise InvalidInputError("anonymity level must be positive")
     n = len(degrees)
     if n == 0:
         return [] if target == 0 else None
-    if target < 0 or k_anon > n:
-        return None
     order = sorted(range(n), key=lambda i: degrees[i], reverse=True)
     d = [degrees[i] for i in order]
+    if target < 0 or k_anon > n or delta < d[0]:
+        return None
     prefix = [0]
     for value in d:
         prefix.append(prefix[-1] + value)
+    # Run ends j for a run starting at i; the rest must be empty or a run.
+    ends = [
+        [j for j in range(i + k_anon, min(i + 2 * k_anon - 1, n) + 1)
+         if j == n or n - j >= k_anon]
+        for i in range(n)
+    ]
 
-    @lru_cache(maxsize=None)
-    def feasible(i: int, left: int, cap: int) -> bool:
-        if i == n:
-            return left == 0
-        if cap < d[i]:
-            return False
-        for j in range(i + k_anon, n + 1):
-            if 0 < n - j < k_anon:
-                continue
-            size = j - i
-            base = prefix[j] - prefix[i]
-            for t in range(d[i], cap + 1):
-                cost = size * t - base
-                if cost > left:
+    def cost(i: int, j: int, t: int) -> int:
+        return (j - i) * t - (prefix[j] - prefix[i])
+
+    mask = (1 << (target + 1)) - 1
+    reach = [[0] * (delta + 1) for _ in range(n)] + [[1] * (delta + 1)]
+    for i in range(n - 1, -1, -1):
+        row = reach[i]
+        acc = 0
+        for t in range(d[i], delta + 1):
+            for j in ends[i]:
+                c = cost(i, j, t)
+                if c > target:  # longer runs cost more
                     break
-                if feasible(j, left - cost, t):
-                    return True
-        return False
-
-    if not feasible(0, target, delta):
-        feasible.cache_clear()
+                acc |= reach[j][t] << c
+            acc &= mask
+            row[t] = acc
+    if not reach[0][delta] >> target & 1:
         return None
 
     x_sorted = [0] * n
     i, left, cap = 0, target, delta
     while i < n:
-        advanced = False
-        for j in range(i + k_anon, n + 1):
-            if 0 < n - j < k_anon:
-                continue
-            size = j - i
-            base = prefix[j] - prefix[i]
-            for t in range(d[i], cap + 1):
-                cost = size * t - base
-                if cost > left:
-                    break
-                if feasible(j, left - cost, t):
-                    for pos in range(i, j):
-                        x_sorted[pos] = t - d[pos]
-                    i, left, cap = j, left - cost, t
-                    advanced = True
-                    break
-            if advanced:
-                break
-        if not advanced:
+        step = next(
+            (
+                (j, t)
+                for t in range(d[i], cap + 1)
+                for j in ends[i]
+                if cost(i, j, t) <= left and reach[j][t] >> (left - cost(i, j, t)) & 1
+            ),
+            None,
+        )
+        if step is None:
             raise InternalInvariantError("anonymity table disagrees with traceback")
-    feasible.cache_clear()
+        j, t = step
+        for pos in range(i, j):
+            x_sorted[pos] = t - d[pos]
+        i, left, cap = j, left - cost(i, j, t), t
 
     result = [0] * n
     for pos, original in enumerate(order):

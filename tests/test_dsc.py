@@ -257,6 +257,14 @@ class TestAnonymity:
                         expect = brute_nsc(props[k_anon].fulfills, degrees, target, 4)
                         assert (got is None) == (expect is None), (degrees, k_anon, target)
 
+    def test_nsc_long_sequence(self):
+        # 1000 runs of two: deeper than the interpreter's recursion limit
+        # if the runs were followed by recursive calls.
+        assert anonymity_nsc([2] * 2000, 2, 0, 2) == [0] * 2000
+        x = anonymity_nsc([2] * 1998 + [1, 1], 3, 2, 3)
+        assert x is not None and sum(x) == 2
+        assert anonymity_fulfills([d + v for d, v in zip([2] * 1998 + [1, 1], x)], 3)
+
     def test_nsc_matches_bruteforce_random_orderings(self):
         # Same agreement when the input degrees arrive unsorted.
         rng = random.Random(1123)
@@ -288,6 +296,20 @@ class TestAnonymize:
     def test_already_anonymous(self):
         g = Graph(4, [(0, 1), (2, 3)])
         assert anonymize(g, 2, 3) == set()
+
+    @pytest.mark.parametrize("k_anon", [1, 2])
+    def test_large_cycle_budget_zero(self, k_anon):
+        n = 2000
+        g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        assert anonymize(g, k_anon, 0) == set()
+
+    def test_large_path_small_budget(self):
+        # The end vertices are the only ones of degree 1; closing the path
+        # into a cycle is the one single addition that makes it 3-anonymous.
+        n = 2000
+        g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+        assert anonymize(g, 3, 0) is None
+        assert anonymize(g, 3, 1) == {(0, n - 1)}
 
     def test_matches_bruteforce(self):
         rng = random.Random(31415)
