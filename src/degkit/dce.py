@@ -14,6 +14,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from .graph import Edge, Graph, induced_subgraph, normalize_edge
+from .nce import _max_rise, _rows
 
 DEFAULT_NODE_LIMIT = 4_000_000
 
@@ -446,7 +447,8 @@ def lift_solution(sol: EditSolution, old_of_new: tuple[int, ...]) -> EditSolutio
 def solve_e_plus(
     inst: DceInstance, node_limit: int = DEFAULT_NODE_LIMIT
 ) -> EditSolution | None:
-    """Kernelize, search inside the kernel, lift the result.
+    """Kernelize, refute numerically or search inside the kernel, lift the
+    result.
 
     Returns None exactly for no-instances.
     """
@@ -454,7 +456,15 @@ def solve_e_plus(
     reduced = kernelize_kr(inst)
     if isinstance(reduced, TrivialNo):
         return None
-    inner = brute_force_solve(reduced.instance, node_limit)
+    kernel = reduced.instance
+    degrees, lists = kernel.graph.degrees(), kernel.tau.lists
+    # s additions raise the degrees by 2s in total, each onto its list, so
+    # without a reachable even total up to 2k the answer is NO.
+    top = min(kernel.k, _max_rise(degrees, lists) // 2)
+    reachable = _rows(degrees, 2 * top, lists)[-1]
+    if not any(reachable >> 2 * s & 1 for s in range(top + 1)):
+        return None
+    inner = brute_force_solve(kernel, node_limit)
     if inner is None:
         return None
     lifted = lift_solution(inner, reduced.old_of_new)

@@ -16,8 +16,8 @@ from collections.abc import Callable, Sequence
 
 from .dce import DceInstance, EditKind, EditSolution, brute_force_solve, solve_e_plus
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
-from .graph import Edge, Graph
-from .winwin import realize_demands
+from .graph import Edge, Graph, add_edges, degree_sequence
+from .winwin import _realize_large
 
 DEFAULT_CORE_CAP = 64
 DEFAULT_ENUM_LIMIT = 1_000_000
@@ -47,16 +47,6 @@ class DscInstance:
             raise InvalidInputError("budget k must be nonnegative")
         if self.delta_prime is not None and self.delta_prime < self.graph.max_degree():
             raise InvalidInputError("delta_prime below the current maximum degree")
-
-
-@dataclass(frozen=True)
-class LargeYes:
-    edges: frozenset[Edge]
-
-
-@dataclass(frozen=True)
-class Clamp:
-    k_new: int
 
 
 # -- blocks ------------------------------------------------------------------
@@ -218,11 +208,12 @@ def bound_threshold(delta_prime: int) -> int:
     return delta_prime * (delta_prime + 1) ** 2
 
 
-def dsc_bound_k(inst: DscInstance, enum_limit: int = DEFAULT_ENUM_LIMIT) -> LargeYes | Clamp:
+def dsc_bound_k(inst: DscInstance, enum_limit: int = DEFAULT_ENUM_LIMIT) -> set[Edge] | None:
     """Scan totals 2k' from the threshold up; realize the first numeric yes.
 
-    When every k' fails, budgets above the threshold are useless and the
-    instance clamps down to it.
+    None means that no k' from the threshold up to k has a numeric witness:
+    budgets above the threshold are then useless, and the instance clamps
+    down to it.
     """
     if inst.delta_prime is None:
         raise InvalidInputError("dsc_bound_k needs a delta_prime budget")
@@ -233,14 +224,9 @@ def dsc_bound_k(inst: DscInstance, enum_limit: int = DEFAULT_ENUM_LIMIT) -> Larg
         inst.prop, inst.graph.degrees(), threshold, inst.k, inst.delta_prime, enum_limit
     )
     if found is None:
-        return Clamp(threshold)
+        return None
     k_prime, x = found
-    edges = realize_demands(inst.graph, x)
-    if edges is None:
-        raise InternalInvariantError(
-            f"realization failed at k'={k_prime} despite the degree-bound guarantee"
-        )
-    return LargeYes(frozenset(edges))
+    return _realize_large(inst.graph, x, k_prime)
 
 
 def _first_numeric_witness(
@@ -256,6 +242,25 @@ def _first_numeric_witness(
     return None
 
 
+def validate_completion(inst: DscInstance, sol: EditSolution) -> None:
+    """Raise InvalidInputError unless sol is a valid completion of inst:
+    additions only, within budget, the property met, no degree above
+    delta_prime."""
+    if any(edit[0] != "add" for edit in sol.edits):
+        raise InvalidInputError("a sequence completion only adds edges")
+    if len(sol) > inst.k:
+        raise InvalidInputError(f"{len(sol)} additions exceed budget {inst.k}")
+    final = degree_sequence(add_edges(inst.graph, [edit[1:] for edit in sol.edits]))
+    if not inst.prop.fulfills(final):
+        raise InvalidInputError(f"the completed sequence is not {inst.prop.name}")
+    if inst.delta_prime is not None and final and final[0] > inst.delta_prime:
+        raise InvalidInputError(f"a completed degree exceeds {inst.delta_prime}")
+
+
+def _additions(edges: set[Edge]) -> EditSolution:
+    return EditSolution(tuple(("add", u, v) for u, v in sorted(edges)))
+
+
 def dsc_solve(
     inst: DscInstance,
     *,
@@ -266,26 +271,30 @@ def dsc_solve(
 
     For a property with its own numeric solver, an instance whose numeric
     relaxation has no witness at any total 2s, s within the budget, is
-    answered NO before the search.
+    answered NO before the search. Every YES is re-validated on the input.
     """
     if inst.delta_prime is None:
         raise InvalidInputError("dsc_solve needs a delta_prime budget")
-    work_k = inst.k
-    if inst.k > bound_threshold(inst.delta_prime):
-        outcome = dsc_bound_k(inst, enum_limit)
-        if isinstance(outcome, LargeYes):
-            return set(outcome.edges)
-        work_k = outcome.k_new
-    # s edge additions under the cap raise the degrees by increments of
-    # total 2s, so without any such numeric witness the answer is NO.
-    if inst.prop.nsc_solver is not None and _first_numeric_witness(
-        inst.prop, inst.graph.degrees(), 0, work_k, inst.delta_prime, enum_limit
-    ) is None:
-        return None
-    work = DscInstance(inst.graph, work_k, inst.prop, inst.delta_prime)
-    return dsc_fpt_solve(
-        work, delta_cap=inst.delta_prime, core_cap=core_cap, enum_limit=enum_limit
-    )
+    threshold = bound_threshold(inst.delta_prime)
+    edges = dsc_bound_k(inst, enum_limit) if inst.k > threshold else None
+    work_k = min(inst.k, threshold)
+    if edges is None:
+        # s edge additions under the cap raise the degrees by increments of
+        # total 2s, so without any such numeric witness the answer is NO.
+        refuted = inst.prop.nsc_solver is not None and _first_numeric_witness(
+            inst.prop, inst.graph.degrees(), 0, work_k, inst.delta_prime, enum_limit
+        ) is None
+        if not refuted:
+            work = DscInstance(inst.graph, work_k, inst.prop, inst.delta_prime)
+            edges = dsc_fpt_solve(
+                work, delta_cap=inst.delta_prime, core_cap=core_cap, enum_limit=enum_limit
+            )
+    if edges is not None:
+        try:
+            validate_completion(inst, _additions(edges))
+        except InvalidInputError as exc:
+            raise InternalInvariantError(f"completion fails re-validation: {exc}") from exc
+    return edges
 
 
 # -- built-in properties ---------------------------------------------------------
@@ -412,14 +421,7 @@ def anonymity_nsc(
     result = [0] * n
     for pos, original in enumerate(order):
         result[original] = x_sorted[pos]
-    final = [degrees[i] + result[i] for i in range(n)]
-    if (
-        sum(result) != target
-        or any(v < 0 for v in result)
-        or any(f > delta for f in final)
-        or not anonymity_fulfills(final, k_anon)
-    ):
-        raise InternalInvariantError("anonymity witness failed re-validation")
+    _validate_increments(anonymity_property(k_anon), degrees, result, target, delta)
     return result
 
 
@@ -452,11 +454,12 @@ def anonymize(g: Graph, k_anon: int, budget: int) -> set[Edge] | None:
 def solve(inst: DceInstance | DscInstance, limit: int | None = None) -> EditSolution | None:
     """A witness as edits for any instance kind, or None for a no-instance.
 
-    Edge addition is kernelized, then searched; edge and vertex deletion get
-    the exact anchored search; sequence completion runs the large-solution
-    branch, the clamp and the block-set search, with delta_prime defaulting
-    to max degree + k. `limit` bounds the search: nodes for the anchored
-    search, candidate sets for the sequence-completion enumeration.
+    Edge addition is kernelized, then refuted numerically or searched; edge
+    and vertex deletion get the exact anchored search; sequence completion
+    runs the large-solution branch, the clamp and the block-set search, with
+    delta_prime defaulting to max degree + k. `limit` bounds the search:
+    nodes for the anchored search, candidate sets for the sequence-completion
+    enumeration.
     """
     if isinstance(inst, DscInstance):
         delta = inst.delta_prime
@@ -464,8 +467,6 @@ def solve(inst: DceInstance | DscInstance, limit: int | None = None) -> EditSolu
             delta = inst.graph.max_degree() + inst.k
         work = DscInstance(inst.graph, inst.k, inst.prop, delta)
         edges = dsc_solve(work) if limit is None else dsc_solve(work, enum_limit=limit)
-        if edges is None:
-            return None
-        return EditSolution(tuple(("add", u, v) for u, v in sorted(edges)))
+        return None if edges is None else _additions(edges)
     search = solve_e_plus if inst.op_kind is EditKind.EDGE_ADDITION else brute_force_solve
     return search(inst) if limit is None else search(inst, node_limit=limit)

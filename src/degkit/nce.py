@@ -2,9 +2,10 @@
 
 Given current degrees d_1..d_n, per-index allowed final degrees phi(i)
 within {0..r}, and a target total increase k, decide whether final degrees
-d_i' >= d_i with d_i' in phi(i) and sum(d_i' - d_i) = k exist. Solved by a
-boolean table over (prefix, spent budget); one table answers every target
-up to a maximum at once.
+d_i' >= d_i with d_i' in phi(i) and sum(d_i' - d_i) = k exist. Solved by
+one bitset row per prefix: bit j of a row says the prefix can rise by
+exactly j in total. One table answers every target up to its width, and a
+witness for any of them is traced back from the same rows.
 """
 
 from __future__ import annotations
@@ -38,23 +39,46 @@ def make_nce(degrees: Sequence[int], k: int, r: int, phi: Sequence[set[int]]) ->
     return NceInstance(tuple(degrees), k, r, tuple(frozenset(s) for s in phi))
 
 
-def _rows(degrees: Sequence[int], k_max: int, phi: Sequence[frozenset[int]]) -> list[list[bool]]:
-    first = degrees[0]
-    rows = [[first + j in phi[0] for j in range(k_max + 1)]]
-    for i in range(1, len(degrees)):
-        d = degrees[i]
-        increments = sorted(x - d for x in phi[i] if x >= d)
+def _rows(degrees: Sequence[int], k_max: int, phi: Sequence[frozenset[int]]) -> list[int]:
+    """Row i holds the totals the first i indices can rise by, up to k_max."""
+    mask = (1 << (k_max + 1)) - 1
+    rows = [1]
+    for d, allowed in zip(degrees, phi):
         prev = rows[-1]
-        row = [False] * (k_max + 1)
-        for j in range(k_max + 1):
-            for inc in increments:
-                if inc > j:
-                    break
-                if prev[j - inc]:
-                    row[j] = True
-                    break
-        rows.append(row)
+        row = 0
+        for x in allowed:
+            if x >= d:
+                row |= prev << (x - d)
+        rows.append(row & mask)
     return rows
+
+
+def _max_rise(degrees: Sequence[int], phi: Sequence[frozenset[int]]) -> int:
+    """No index rises past the largest entry of its set, so no total is
+    larger; capping a table's width here keeps huge targets cheap."""
+    return sum(
+        max((x - d for x in allowed if x >= d), default=0) for d, allowed in zip(degrees, phi)
+    )
+
+
+def _trace(inst: NceInstance, rows: Sequence[int]) -> tuple[int, ...] | None:
+    """A witness for inst.k read from rows at least that wide, or None;
+    tie-breaking as in nce_traceback."""
+    j = inst.k
+    if not rows[-1] >> j & 1:
+        return None
+    final = [0] * len(inst.degrees)
+    for i in range(len(inst.degrees) - 1, -1, -1):
+        d = inst.degrees[i]
+        for x in sorted(inst.phi[i]):
+            if d <= x <= d + j and rows[i] >> (j - (x - d)) & 1:
+                final[i] = x
+                j -= x - d
+                break
+        else:
+            raise InternalInvariantError("positive table entry has no predecessor")
+    _validate_witness(inst, final)
+    return tuple(final)
 
 
 def nce_decide_all_targets(
@@ -64,9 +88,8 @@ def nce_decide_all_targets(
     inst = make_nce(degrees, 0, r, phi)
     if k_max < 0:
         raise InvalidInputError("k_max must be nonnegative")
-    if not degrees:
-        return [j == 0 for j in range(k_max + 1)]
-    return _rows(inst.degrees, k_max, inst.phi)[-1]
+    last = _rows(inst.degrees, k_max, inst.phi)[-1]
+    return [bool(last >> j & 1) for j in range(k_max + 1)]
 
 
 def nce_decide(inst: NceInstance) -> bool:
@@ -76,32 +99,11 @@ def nce_decide(inst: NceInstance) -> bool:
 def nce_traceback(inst: NceInstance) -> tuple[int, ...] | None:
     """One witness vector of final degrees, or None.
 
-    Ties are broken toward the smallest feasible final degree at every
-    index, which makes witnesses deterministic.
+    From the last index down, each index takes the smallest allowed final
+    degree whose remaining total the shorter prefix still reaches, which
+    makes witnesses deterministic.
     """
-    degrees, k = inst.degrees, inst.k
-    if not degrees:
-        return () if k == 0 else None
-    rows = _rows(degrees, k, inst.phi)
-    if not rows[-1][k]:
-        return None
-    final = [0] * len(degrees)
-    j = k
-    for i in range(len(degrees) - 1, 0, -1):
-        d = degrees[i]
-        for x in sorted(inst.phi[i]):
-            if x >= d and x - d <= j and rows[i - 1][j - (x - d)]:
-                final[i] = x
-                j -= x - d
-                break
-        else:
-            raise InternalInvariantError("positive table entry has no predecessor")
-    final[0] = degrees[0] + j
-
-    if final[0] not in inst.phi[0]:
-        raise InternalInvariantError("traceback produced an illegal first entry")
-    _validate_witness(inst, final)
-    return tuple(final)
+    return _trace(inst, _rows(inst.degrees, inst.k, inst.phi))
 
 
 def _validate_witness(inst: NceInstance, final: Sequence[int]) -> None:

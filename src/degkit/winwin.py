@@ -23,7 +23,7 @@ from .dce import (
 from .errors import InternalInvariantError, InvalidInputError
 from .factors import f_factor
 from .graph import DemandFunction, Edge, Graph, complement, induced_subgraph, normalize_edge
-from .nce import make_nce, nce_decide_all_targets, nce_traceback
+from .nce import _max_rise, _rows, _trace, make_nce
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,20 @@ def realize_demands(g: Graph, demand: DemandFunction) -> set[Edge] | None:
     return {normalize_edge(old_of_new[u], old_of_new[v]) for u, v in factor}
 
 
-def try_large_solution(inst: DceInstance) -> EditSolution | None:
-    """Scan totals 2k' for k' from the threshold up to k; realize the first hit.
+def _realize_large(g: Graph, demand: DemandFunction, k_prime: int) -> set[Edge]:
+    """Realize a numeric witness of total 2k' at or above the threshold,
+    where the win-win guarantees success, so a failure is a defect."""
+    edges = realize_demands(g, demand)
+    if edges is None:
+        raise InternalInvariantError(
+            f"realization failed at k'={k_prime} despite the large-solution guarantee"
+        )
+    return edges
 
-    Realization is guaranteed once the numeric problem says yes at such a
-    k', so a failure there is a defect, not a legal outcome.
-    """
+
+def try_large_solution(inst: DceInstance) -> EditSolution | None:
+    """Find the least k' from the threshold up to k whose total 2k' the
+    numeric relaxation reaches, and realize its witness."""
     _require_edge_addition(inst, "try_large_solution")
     r = inst.r
     threshold = solution_threshold(r)
@@ -80,41 +88,25 @@ def try_large_solution(inst: DceInstance) -> EditSolution | None:
     g = inst.graph
     degrees = g.degrees()
     phi = inst.tau.lists
-
-    # No vertex can rise above the largest entry of its list, which caps the
-    # scan well below huge budgets.
-    max_rise = 0
-    for d, allowed in zip(degrees, phi):
-        feasible = [x - d for x in allowed if x >= d]
-        if not feasible:
-            return None
-        max_rise += max(feasible)
-    upper = min(inst.k, max_rise // 2)
+    upper = min(inst.k, _max_rise(degrees, phi) // 2)
     if upper < threshold:
         return None
 
-    table = nce_decide_all_targets(degrees, 2 * upper, r, phi)
-    for k_prime in range(threshold, upper + 1):
-        if not table[2 * k_prime]:
-            continue
-        final = nce_traceback(make_nce(degrees, 2 * k_prime, r, phi))
-        if final is None:
-            raise InternalInvariantError("all-targets table disagrees with traceback")
-        demand = [x - d for x, d in zip(final, degrees)]
-        affected = [v for v in range(g.vertex_count) if demand[v] > 0]
-        if affected and len(affected) < 2 * (r + 1) ** 2:
-            raise InternalInvariantError(
-                f"only {len(affected)} affected vertices at total {2 * k_prime}"
-            )
-        edges = realize_demands(g, demand)
-        if edges is None:
-            raise InternalInvariantError(
-                f"realization failed at k'={k_prime} despite the win-win guarantee"
-            )
-        solution = EditSolution(tuple(("add", u, v) for u, v in sorted(edges)))
-        validate_solution(inst, solution)
-        return solution
-    return None
+    rows = _rows(degrees, 2 * upper, phi)
+    k_prime = next((s for s in range(threshold, upper + 1) if rows[-1] >> 2 * s & 1), None)
+    if k_prime is None:
+        return None
+    final = _trace(make_nce(degrees, 2 * k_prime, r, phi), rows)
+    demand = [x - d for x, d in zip(final, degrees)]
+    affected = [v for v in range(g.vertex_count) if demand[v] > 0]
+    if affected and len(affected) < 2 * (r + 1) ** 2:
+        raise InternalInvariantError(
+            f"only {len(affected)} affected vertices at total {2 * k_prime}"
+        )
+    edges = _realize_large(g, demand, k_prime)
+    solution = EditSolution(tuple(("add", u, v) for u, v in sorted(edges)))
+    validate_solution(inst, solution)
+    return solution
 
 
 def kernelize_r(inst: DceInstance) -> KernelResult:

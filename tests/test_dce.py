@@ -21,6 +21,7 @@ from degkit.dce import (
     validate_solution,
     vertex_types,
 )
+from degkit.dsc import solve
 from degkit.errors import InvalidInputError, ResourceLimitError
 from degkit.graph import Graph
 
@@ -261,6 +262,16 @@ class TestSolveEPlus:
             assert (direct is None) == (via_kernel is None)
             if via_kernel is not None:
                 assert is_valid_solution(inst, via_kernel)
+
+
+    def test_odd_total_is_numeric_no(self):
+        # Ten matched and seven isolated vertices keep their degree, three
+        # isolated ones must rise by one and twenty others may rise by two:
+        # every total increase is odd, so no set of additions exists.
+        edges = [(2 * i, 2 * i + 1) for i in range(5)]
+        lists = [{1}] * 10 + [{1}] * 3 + [{0, 2}] * 20 + [{0}] * 7
+        inst = make_dce(Graph(40, edges), 6, 3, lists)
+        assert solve(inst, limit=200_000) is None
 
 
 class TestValidation:

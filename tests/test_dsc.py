@@ -4,10 +4,10 @@ import random
 
 import pytest
 
+from degkit import dsc
+from degkit.dce import EditSolution
 from degkit.dsc import (
-    Clamp,
     DscInstance,
-    LargeYes,
     anonymity_fulfills,
     anonymity_nsc,
     anonymity_property,
@@ -15,15 +15,15 @@ from degkit.dsc import (
     balanced_property,
     block,
     block_set,
-    bound_threshold,
     dsc_bound_k,
     dsc_fpt_solve,
     dsc_solve,
     h_index_property,
     pi_nsc_decide,
     regular_property,
+    validate_completion,
 )
-from degkit.errors import InvalidInputError, ResourceLimitError
+from degkit.errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from degkit.generators import gen_random_graph
 from degkit.graph import Graph, add_edges, degree_sequence
 
@@ -141,17 +141,18 @@ class TestNscDecide:
 class TestBoundK:
     def test_ten_isolated_large_yes(self):
         inst = DscInstance(Graph(10), 5, regular_property(), 1)
-        outcome = dsc_bound_k(inst)
-        assert isinstance(outcome, LargeYes)
-        final = add_edges(Graph(10), outcome.edges)
+        edges = dsc_bound_k(inst)
+        assert edges is not None
+        final = add_edges(Graph(10), edges)
         assert degree_sequence(final) == (1,) * 10
-        assert len(outcome.edges) == 5
+        assert len(edges) == 5
 
     def test_unsatisfiable_clamps(self):
         # Nine isolated vertices can never become 1-regular (odd parity),
-        # and delta' = 1 blocks every other regular target.
+        # and delta' = 1 blocks every other regular target, so the budget
+        # clamps to the threshold.
         inst = DscInstance(Graph(9), 6, regular_property(), 1)
-        assert dsc_bound_k(inst) == Clamp(bound_threshold(1))
+        assert dsc_bound_k(inst) is None
 
     def test_guard_below_threshold(self):
         inst = DscInstance(Graph(10), 4, regular_property(), 1)
@@ -163,9 +164,9 @@ class TestBoundK:
         for _ in range(40):
             n = rng.randrange(8, 14)
             inst = DscInstance(Graph(n), rng.randrange(5, 9), regular_property(), 1)
-            outcome = dsc_bound_k(inst)
-            if isinstance(outcome, LargeYes):
-                final = add_edges(inst.graph, outcome.edges)
+            edges = dsc_bound_k(inst)
+            if edges is not None:
+                final = add_edges(inst.graph, edges)
                 assert final.max_degree() <= 1
                 assert regular_property().fulfills(degree_sequence(final))
 
@@ -213,6 +214,42 @@ class TestDscSolve:
                 assert len(got) <= k
                 assert final.max_degree() <= delta
                 assert prop.fulfills(degree_sequence(final))
+
+    def test_wrong_search_answer_is_a_defect(self, monkeypatch):
+        monkeypatch.setattr(dsc, "dsc_fpt_solve", lambda *args, **kwargs: {(0, 1)})
+        with pytest.raises(InternalInvariantError):
+            dsc_solve(DscInstance(path3(), 1, regular_property(), 2))
+
+    def test_wrong_large_answer_is_a_defect(self, monkeypatch):
+        # Budget 5 is above the threshold 4 of delta' = 1, so the large
+        # branch answers; one edge leaves eight of ten vertices at degree 0.
+        monkeypatch.setattr(dsc, "_realize_large", lambda *args: {(0, 1)})
+        with pytest.raises(InternalInvariantError):
+            dsc_solve(DscInstance(Graph(10), 5, regular_property(), 1))
+
+
+class TestValidateCompletion:
+    def test_accepts_the_closing_edge(self):
+        inst = DscInstance(path3(), 1, regular_property(), 2)
+        validate_completion(inst, EditSolution((("add", 0, 2),)))
+
+    @pytest.mark.parametrize(
+        "inst, edits",
+        [
+            (DscInstance(path3(), 1, regular_property(), 2), (("del", 0, 1),)),
+            (DscInstance(Graph(4), 1, regular_property(), 1), (("add", 0, 1), ("add", 2, 3))),
+            (DscInstance(path3(), 1, regular_property(), 2), (("add", 0, 1),)),
+            (
+                DscInstance(Graph(3), 3, regular_property(), 1),
+                (("add", 0, 1), ("add", 0, 2), ("add", 1, 2)),
+            ),
+            (DscInstance(path3(), 1, anonymity_property(2), 2), ()),
+        ],
+        ids=["deletion", "over-budget", "present-edge", "above-cap", "property"],
+    )
+    def test_rejects(self, inst, edits):
+        with pytest.raises(InvalidInputError):
+            validate_completion(inst, EditSolution(edits))
 
 
 class TestAnonymity:

@@ -2,6 +2,9 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from degkit.nce import make_nce, nce_decide, nce_decide_all_targets, nce_traceback
 
 from oracles import brute_nce
@@ -86,3 +89,31 @@ def test_all_targets_column_consistency():
         table = nce_decide_all_targets(degrees, 8, r, phi)
         for j in range(9):
             assert table[j] == nce_decide(make_nce(degrees, j, r, phi))
+
+
+@st.composite
+def _nce_case(draw):
+    n = draw(st.integers(0, 6))
+    r = draw(st.integers(0, 4))
+    degrees = draw(st.lists(st.integers(0, r + 1), min_size=n, max_size=n))
+    phi = draw(
+        st.lists(st.sets(st.integers(0, r), max_size=r + 1), min_size=n, max_size=n)
+    )
+    return degrees, draw(st.integers(0, 12)), r, phi
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_nce_case())
+def test_all_targets_and_traceback_match_bruteforce(case):
+    degrees, k_max, r, phi = case
+    table = nce_decide_all_targets(degrees, k_max, r, phi)
+    assert len(table) == k_max + 1
+    for j in range(k_max + 1):
+        expect = brute_nce(degrees, j, phi)
+        assert table[j] == expect
+        witness = nce_traceback(make_nce(degrees, j, r, phi))
+        assert (witness is not None) == expect
+        if witness is not None:
+            assert all(x >= d for x, d in zip(witness, degrees))
+            assert all(x in s for x, s in zip(witness, phi))
+            assert sum(x - d for x, d in zip(witness, degrees)) == j

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from degkit.dce import (
     Kernel,
@@ -11,6 +13,7 @@ from degkit.dce import (
     is_valid_solution,
     kernelize_kr,
     make_dce,
+    validate_solution,
 )
 from degkit.errors import InvalidInputError
 from degkit.graph import Graph, add_edges
@@ -22,6 +25,9 @@ from degkit.winwin import (
     solution_threshold,
     try_large_solution,
 )
+
+from oracles import all_pairs, naive_dce_min_edits
+
 
 def ten_isolated_instance(k: int = 5):
     return make_dce(Graph(10), k, 1, [{1}] * 10)
@@ -195,3 +201,46 @@ class TestKernelizeR:
                 assert result.instance.graph.vertex_count <= bound
                 reduced = brute_force_solve(result.instance)
                 assert (original is not None) == (reduced is not None)
+
+
+@st.composite
+def _budget_around_threshold(draw):
+    """r in {1, 2}, a budget within two of r(r+1)^2, and a graph of maximum
+    degree at most r, small enough for the plain enumeration oracle."""
+    r = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 6 if r == 1 else 5))
+    degree = [0] * n
+    edges = []
+    for u, v in all_pairs(n):
+        if degree[u] < r and degree[v] < r and draw(st.integers(0, 3)) == 0:
+            edges.append((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    lists = draw(
+        st.lists(
+            st.sets(st.integers(0, r), min_size=1, max_size=r + 1), min_size=n, max_size=n
+        )
+    )
+    threshold = solution_threshold(r)
+    k = draw(st.integers(threshold - 2, threshold + 2))
+    return make_dce(Graph(n, edges), k, r, lists)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_budget_around_threshold())
+# Eight isolated vertices that need one edge each: the large branch fires.
+@example(make_dce(Graph(8), 5, 1, [{1}] * 8))
+# Already satisfied, yet the large branch answers with at least k' edits.
+@example(make_dce(Graph(10, [(0, 1)]), 5, 1, [{1}] * 2 + [{0, 1}] * 8))
+def test_kernelize_r_keeps_the_answer(inst):
+    lists = [set(s) for s in inst.tau.lists]
+    expect = naive_dce_min_edits(inst.graph, inst.k, lists, "e+")
+    result = kernelize_r(inst)
+    if isinstance(result, TrivialYes):
+        assert expect is not None
+        validate_solution(inst, result.witness)
+        assert len(result.witness) >= solution_threshold(inst.r)
+    elif isinstance(result, TrivialNo):
+        assert expect is None
+    else:
+        assert (brute_force_solve(result.instance) is None) == (expect is None)
