@@ -48,7 +48,6 @@ from .dsc import (
     anonymity_property,
     anonymize,
     balanced_property,
-    block,
     block_set,
     dsc_bound_k,
     dsc_fpt_solve,

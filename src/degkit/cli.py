@@ -72,7 +72,7 @@ def _kernelize(inst: DceInstance | DscInstance, param: str):
 
 def _cmd_solve(args) -> int:
     inst = _load(args.instance)
-    if args.delta_prime is not None and isinstance(inst, DscInstance):
+    if isinstance(inst, DscInstance):
         inst = DscInstance(inst.graph, inst.k, inst.prop, args.delta_prime)
     _emit_solution(inst, solve(inst, args.limit), args)
     return 0

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from .graph import Edge, Graph, induced_subgraph, normalize_edge
-from .nce import _max_rise, _rows
+from .nce import least_even_total
 
 DEFAULT_NODE_LIMIT = 4_000_000
 
@@ -195,7 +195,7 @@ def safely_remove(inst: DceInstance, vertices: Iterable[int]) -> DceInstance:
 # -- kernelization for edge addition ------------------------------------------
 
 
-def _require_edge_addition(inst: DceInstance, op: str) -> None:
+def require_edge_addition(inst: DceInstance, op: str) -> None:
     if inst.op_kind is not EditKind.EDGE_ADDITION:
         raise InvalidInputError(f"{op} applies to edge-addition instances only")
 
@@ -204,7 +204,7 @@ def core_set(inst: DceInstance) -> set[int]:
     """All unsatisfied vertices plus up to alpha = k(max_degree + 2) satisfied
     vertices per positive type, chosen by a single pass with one counter per
     type. Runs in O(m + |tau|) time."""
-    _require_edge_addition(inst, "core_set")
+    require_edge_addition(inst, "core_set")
     g, tau, r = inst.graph, inst.tau, inst.r
     alpha = inst.k * (g.max_degree() + 2)
     counters = [0] * (r + 1)
@@ -231,7 +231,7 @@ def core_set(inst: DceInstance) -> set[int]:
 def rule2_check(inst: DceInstance) -> TrivialNo | None:
     """Trivial no if more than 2k vertices are unsatisfied or some vertex
     already exceeds every degree on its list (empty lists always do)."""
-    _require_edge_addition(inst, "rule2_check")
+    require_edge_addition(inst, "rule2_check")
     g, tau = inst.graph, inst.tau
     unsat = 0
     for v in range(g.vertex_count):
@@ -252,7 +252,7 @@ def kernelize_kr(inst: DceInstance) -> Kernel | TrivialNo:
     A returned kernel has at most 2k + rk(r+2) vertices and is a
     yes-instance exactly when the input is.
     """
-    _require_edge_addition(inst, "kernelize_kr")
+    require_edge_addition(inst, "kernelize_kr")
     no = rule2_check(inst)
     if no is not None:
         return no
@@ -452,17 +452,14 @@ def solve_e_plus(
 
     Returns None exactly for no-instances.
     """
-    _require_edge_addition(inst, "solve_e_plus")
+    require_edge_addition(inst, "solve_e_plus")
     reduced = kernelize_kr(inst)
     if isinstance(reduced, TrivialNo):
         return None
     kernel = reduced.instance
-    degrees, lists = kernel.graph.degrees(), kernel.tau.lists
     # s additions raise the degrees by 2s in total, each onto its list, so
     # without a reachable even total up to 2k the answer is NO.
-    top = min(kernel.k, _max_rise(degrees, lists) // 2)
-    reachable = _rows(degrees, 2 * top, lists)[-1]
-    if not any(reachable >> 2 * s & 1 for s in range(top + 1)):
+    if least_even_total(kernel.graph.degrees(), kernel.tau.lists, 0, kernel.k) is None:
         return None
     inner = brute_force_solve(kernel, node_limit)
     if inner is None:

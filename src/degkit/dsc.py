@@ -17,9 +17,11 @@ from collections.abc import Callable, Sequence
 from .dce import DceInstance, EditKind, EditSolution, brute_force_solve, solve_e_plus
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from .graph import Edge, Graph, add_edges, degree_sequence
-from .winwin import _realize_large
+from .winwin import realize_large
 
-DEFAULT_CORE_CAP = 64
+# Block-sets above this many vertices are refused: the enumeration over
+# their non-edges would not finish.
+CORE_CAP = 64
 DEFAULT_ENUM_LIMIT = 1_000_000
 
 Fulfills = Callable[[tuple[int, ...]], bool]
@@ -37,6 +39,10 @@ class PiProperty:
 
 @dataclass(frozen=True)
 class DscInstance:
+    """At most k edge additions making the degree sequence fulfill prop,
+    with no degree above delta_prime. Left out, delta_prime is max degree
+    + k, which k additions never exceed, so it restricts nothing."""
+
     graph: Graph
     k: int
     prop: PiProperty
@@ -45,18 +51,13 @@ class DscInstance:
     def __post_init__(self):
         if self.k < 0:
             raise InvalidInputError("budget k must be nonnegative")
-        if self.delta_prime is not None and self.delta_prime < self.graph.max_degree():
+        if self.delta_prime is None:
+            object.__setattr__(self, "delta_prime", self.graph.max_degree() + self.k)
+        if self.delta_prime < self.graph.max_degree():
             raise InvalidInputError("delta_prime below the current maximum degree")
 
 
-# -- blocks ------------------------------------------------------------------
-
-
-def block(g: Graph, d: int) -> set[int]:
-    """All vertices of degree exactly d."""
-    if d < 0:
-        raise InvalidInputError("degree must be nonnegative")
-    return {v for v in range(g.vertex_count) if g.degree(v) == d}
+# -- the block-set -----------------------------------------------------------
 
 
 def block_set(g: Graph, k: int) -> set[int]:
@@ -86,24 +87,18 @@ def completed_sequence(degrees: Sequence[int], additions: Sequence[Edge]) -> tup
     return tuple(sorted(d, reverse=True))
 
 
-def dsc_fpt_solve(
-    inst: DscInstance,
-    *,
-    delta_cap: int | None = None,
-    core_cap: int = DEFAULT_CORE_CAP,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
-) -> set[Edge] | None:
+def dsc_fpt_solve(inst: DscInstance, *, enum_limit: int = DEFAULT_ENUM_LIMIT) -> set[Edge] | None:
     """Enumerate edge sets inside a block-set by increasing size.
 
     Any solution can be rerouted into the block-set, so the restricted
-    search is complete. Candidate sets pushing a degree above delta_cap are
-    discarded when a cap is given.
+    search is complete. Candidate sets pushing a degree above delta_prime
+    are discarded.
     """
     g = inst.graph
     core = sorted(block_set(g, inst.k))
-    if len(core) > core_cap:
+    if len(core) > CORE_CAP:
         raise ResourceLimitError(
-            f"block-set has {len(core)} vertices, above the cap {core_cap}"
+            f"block-set has {len(core)} vertices, above the cap {CORE_CAP}"
         )
     pairs = [
         (u, v) for i, u in enumerate(core) for v in core[i + 1:] if not g.has_edge(u, v)
@@ -118,7 +113,7 @@ def dsc_fpt_solve(
                     f"candidate enumeration exceeded {enum_limit} edge sets"
                 )
             final = completed_sequence(degrees, combo)
-            if delta_cap is not None and final and final[0] > delta_cap:
+            if final and final[0] > inst.delta_prime:
                 continue
             if inst.prop.fulfills(final):
                 return set(combo)
@@ -215,8 +210,6 @@ def dsc_bound_k(inst: DscInstance, enum_limit: int = DEFAULT_ENUM_LIMIT) -> set[
     budgets above the threshold are then useless, and the instance clamps
     down to it.
     """
-    if inst.delta_prime is None:
-        raise InvalidInputError("dsc_bound_k needs a delta_prime budget")
     threshold = bound_threshold(inst.delta_prime)
     if inst.k <= threshold:
         raise InvalidInputError(f"budget {inst.k} not above the threshold {threshold}")
@@ -226,7 +219,7 @@ def dsc_bound_k(inst: DscInstance, enum_limit: int = DEFAULT_ENUM_LIMIT) -> set[
     if found is None:
         return None
     k_prime, x = found
-    return _realize_large(inst.graph, x, k_prime)
+    return realize_large(inst.graph, x, k_prime)
 
 
 def _first_numeric_witness(
@@ -253,7 +246,7 @@ def validate_completion(inst: DscInstance, sol: EditSolution) -> None:
     final = degree_sequence(add_edges(inst.graph, [edit[1:] for edit in sol.edits]))
     if not inst.prop.fulfills(final):
         raise InvalidInputError(f"the completed sequence is not {inst.prop.name}")
-    if inst.delta_prime is not None and final and final[0] > inst.delta_prime:
+    if final and final[0] > inst.delta_prime:
         raise InvalidInputError(f"a completed degree exceeds {inst.delta_prime}")
 
 
@@ -261,20 +254,13 @@ def _additions(edges: set[Edge]) -> EditSolution:
     return EditSolution(tuple(("add", u, v) for u, v in sorted(edges)))
 
 
-def dsc_solve(
-    inst: DscInstance,
-    *,
-    core_cap: int = DEFAULT_CORE_CAP,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
-) -> set[Edge] | None:
+def dsc_solve(inst: DscInstance, *, enum_limit: int = DEFAULT_ENUM_LIMIT) -> set[Edge] | None:
     """Full pipeline: large-solution branch, clamp, then the FPT search.
 
     For a property with its own numeric solver, an instance whose numeric
     relaxation has no witness at any total 2s, s within the budget, is
     answered NO before the search. Every YES is re-validated on the input.
     """
-    if inst.delta_prime is None:
-        raise InvalidInputError("dsc_solve needs a delta_prime budget")
     threshold = bound_threshold(inst.delta_prime)
     edges = dsc_bound_k(inst, enum_limit) if inst.k > threshold else None
     work_k = min(inst.k, threshold)
@@ -286,9 +272,7 @@ def dsc_solve(
         ) is None
         if not refuted:
             work = DscInstance(inst.graph, work_k, inst.prop, inst.delta_prime)
-            edges = dsc_fpt_solve(
-                work, delta_cap=inst.delta_prime, core_cap=core_cap, enum_limit=enum_limit
-            )
+            edges = dsc_fpt_solve(work, enum_limit=enum_limit)
     if edges is not None:
         try:
             validate_completion(inst, _additions(edges))
@@ -301,7 +285,7 @@ def dsc_solve(
 
 
 def regular_property() -> PiProperty:
-    """All degrees equal; ships a scan over the common target degree."""
+    """All degrees equal; ships a closed form for the common target degree."""
 
     def fulfills(t: tuple[int, ...]) -> bool:
         return len(set(t)) <= 1
@@ -310,11 +294,10 @@ def regular_property() -> PiProperty:
         n = len(degrees)
         if n == 0:
             return [] if target == 0 else None
-        total = sum(degrees)
-        for c in range(max(degrees), delta + 1):
-            if n * c - total == target:
-                return [c - d for d in degrees]
-        return None
+        c, rest = divmod(target + sum(degrees), n)
+        if rest or not max(degrees) <= c <= delta:
+            return None
+        return [c - d for d in degrees]
 
     return PiProperty("regular", fulfills, nsc)
 
@@ -440,12 +423,7 @@ def anonymity_property(k_anon: int) -> PiProperty:
 
 def anonymize(g: Graph, k_anon: int, budget: int) -> set[Edge] | None:
     """Edge additions (at most budget many) making the graph k_anon-anonymous."""
-    if k_anon < 1:
-        raise InvalidInputError("anonymity level must be positive")
-    if budget < 0:
-        raise InvalidInputError("budget must be nonnegative")
-    inst = DscInstance(g, budget, anonymity_property(k_anon), g.max_degree() + budget)
-    return dsc_solve(inst)
+    return dsc_solve(DscInstance(g, budget, anonymity_property(k_anon)))
 
 
 # -- one entry point for every instance kind ---------------------------------------
@@ -456,17 +434,12 @@ def solve(inst: DceInstance | DscInstance, limit: int | None = None) -> EditSolu
 
     Edge addition is kernelized, then refuted numerically or searched; edge
     and vertex deletion get the exact anchored search; sequence completion
-    runs the large-solution branch, the clamp and the block-set search, with
-    delta_prime defaulting to max degree + k. `limit` bounds the search:
-    nodes for the anchored search, candidate sets for the sequence-completion
-    enumeration.
+    runs the large-solution branch, the clamp and the block-set search.
+    `limit` bounds the search: nodes for the anchored search, candidate sets
+    for the sequence-completion enumeration.
     """
     if isinstance(inst, DscInstance):
-        delta = inst.delta_prime
-        if delta is None:
-            delta = inst.graph.max_degree() + inst.k
-        work = DscInstance(inst.graph, inst.k, inst.prop, delta)
-        edges = dsc_solve(work) if limit is None else dsc_solve(work, enum_limit=limit)
+        edges = dsc_solve(inst) if limit is None else dsc_solve(inst, enum_limit=limit)
         return None if edges is None else _additions(edges)
     search = solve_e_plus if inst.op_kind is EditKind.EDGE_ADDITION else brute_force_solve
     return search(inst) if limit is None else search(inst, node_limit=limit)

@@ -8,8 +8,9 @@ DIMACS-flavored, 1-based indices:
     e <u> <v>
     t <v> [d1 d2 ...]                       (DCE only; missing line = empty list)
 
-Solutions are `NO` or `YES <count>` followed by one edit per line
-(`add u v`, `del u v`, `rm v`).
+Headers with more than MAX_VERTICES vertices are rejected. Solutions are
+`NO` or `YES <count>` followed by one edit per line (`add u v`, `del u v`,
+`rm v`).
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ from .errors import InvalidInputError, ParseError
 from .graph import Graph
 
 _OP_TOKENS = {kind.value: kind for kind in EditKind}
+
+# The largest n a header may declare: a Graph allocates one list per vertex
+# before any edge is read, so an unbounded n would exhaust memory. 2^20 is
+# about ten times the 100k-vertex inputs of the kernel-large benchmark.
+MAX_VERTICES = 1 << 20
 
 
 def _parse_property(tokens: list[str], line_no: int) -> PiProperty:
@@ -82,6 +88,8 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
             n, m = _int(tokens[2], line_no), _int(tokens[3], line_no)
             if n < 0 or m < 0:
                 raise ParseError("n and m must be nonnegative", line_no)
+            if n > MAX_VERTICES:
+                raise ParseError(f"n = {n} exceeds the cap {MAX_VERTICES}", line_no)
         elif kind == "e":
             if header is None:
                 raise ParseError("edge before the problem line", line_no)

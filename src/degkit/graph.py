@@ -74,9 +74,6 @@ class Graph:
     def min_degree(self) -> int:
         return min(self._degrees, default=0)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         ns = self.adj[u]
         i = bisect_left(ns, v)

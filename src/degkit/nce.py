@@ -61,24 +61,43 @@ def _max_rise(degrees: Sequence[int], phi: Sequence[frozenset[int]]) -> int:
     )
 
 
-def _trace(inst: NceInstance, rows: Sequence[int]) -> tuple[int, ...] | None:
-    """A witness for inst.k read from rows at least that wide, or None;
+def _trace(
+    degrees: Sequence[int], phi: Sequence[frozenset[int]], total: int, rows: Sequence[int]
+) -> tuple[int, ...] | None:
+    """A witness for total read from rows at least that wide, or None;
     tie-breaking as in nce_traceback."""
-    j = inst.k
+    j = total
     if not rows[-1] >> j & 1:
         return None
-    final = [0] * len(inst.degrees)
-    for i in range(len(inst.degrees) - 1, -1, -1):
-        d = inst.degrees[i]
-        for x in sorted(inst.phi[i]):
+    final = [0] * len(degrees)
+    for i in range(len(degrees) - 1, -1, -1):
+        d = degrees[i]
+        for x in sorted(phi[i]):
             if d <= x <= d + j and rows[i] >> (j - (x - d)) & 1:
                 final[i] = x
                 j -= x - d
                 break
         else:
             raise InternalInvariantError("positive table entry has no predecessor")
-    _validate_witness(inst, final)
+    _validate_witness(degrees, phi, total, final)
     return tuple(final)
+
+
+def least_even_total(
+    degrees: Sequence[int], phi: Sequence[frozenset[int]], lo: int, hi: int
+) -> tuple[int, tuple[int, ...]] | None:
+    """The least s in lo..hi whose total 2s the degrees reach on their
+    lists, with a witness of final degrees traced as in nce_traceback, or
+    None. Edge additions raise the degrees by an even total, so this is
+    the numeric question behind both e+ solving and the win-win."""
+    top = min(hi, _max_rise(degrees, phi) // 2)
+    if top < lo:
+        return None
+    rows = _rows(degrees, 2 * top, phi)
+    s = next((s for s in range(lo, top + 1) if rows[-1] >> 2 * s & 1), None)
+    if s is None:
+        return None
+    return s, _trace(degrees, phi, 2 * s, rows)
 
 
 def nce_decide_all_targets(
@@ -103,13 +122,15 @@ def nce_traceback(inst: NceInstance) -> tuple[int, ...] | None:
     degree whose remaining total the shorter prefix still reaches, which
     makes witnesses deterministic.
     """
-    return _trace(inst, _rows(inst.degrees, inst.k, inst.phi))
+    return _trace(inst.degrees, inst.phi, inst.k, _rows(inst.degrees, inst.k, inst.phi))
 
 
-def _validate_witness(inst: NceInstance, final: Sequence[int]) -> None:
-    if any(x < d for x, d in zip(final, inst.degrees)):
+def _validate_witness(
+    degrees: Sequence[int], phi: Sequence[frozenset[int]], total: int, final: Sequence[int]
+) -> None:
+    if any(x < d for x, d in zip(final, degrees)):
         raise InternalInvariantError("witness decreases a degree")
-    if any(x not in s for x, s in zip(final, inst.phi)):
+    if any(x not in s for x, s in zip(final, phi)):
         raise InternalInvariantError("witness leaves an allowed-degree set")
-    if sum(x - d for x, d in zip(final, inst.degrees)) != inst.k:
+    if sum(x - d for x, d in zip(final, degrees)) != total:
         raise InternalInvariantError("witness has the wrong total increase")

@@ -16,14 +16,14 @@ from .dce import (
     EditSolution,
     Kernel,
     TrivialNo,
-    _require_edge_addition,
     kernelize_kr,
+    require_edge_addition,
     validate_solution,
 )
 from .errors import InternalInvariantError, InvalidInputError
 from .factors import f_factor
 from .graph import DemandFunction, Edge, Graph, complement, induced_subgraph, normalize_edge
-from .nce import _max_rise, _rows, _trace, make_nce
+from .nce import least_even_total
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def realize_demands(g: Graph, demand: DemandFunction) -> set[Edge] | None:
     return {normalize_edge(old_of_new[u], old_of_new[v]) for u, v in factor}
 
 
-def _realize_large(g: Graph, demand: DemandFunction, k_prime: int) -> set[Edge]:
+def realize_large(g: Graph, demand: DemandFunction, k_prime: int) -> set[Edge]:
     """Realize a numeric witness of total 2k' at or above the threshold,
     where the win-win guarantees success, so a failure is a defect."""
     edges = realize_demands(g, demand)
@@ -80,30 +80,24 @@ def _realize_large(g: Graph, demand: DemandFunction, k_prime: int) -> set[Edge]:
 def try_large_solution(inst: DceInstance) -> EditSolution | None:
     """Find the least k' from the threshold up to k whose total 2k' the
     numeric relaxation reaches, and realize its witness."""
-    _require_edge_addition(inst, "try_large_solution")
+    require_edge_addition(inst, "try_large_solution")
     r = inst.r
     threshold = solution_threshold(r)
     if inst.k < threshold:
         raise InvalidInputError(f"budget {inst.k} below the threshold {threshold}")
     g = inst.graph
     degrees = g.degrees()
-    phi = inst.tau.lists
-    upper = min(inst.k, _max_rise(degrees, phi) // 2)
-    if upper < threshold:
+    found = least_even_total(degrees, inst.tau.lists, threshold, inst.k)
+    if found is None:
         return None
-
-    rows = _rows(degrees, 2 * upper, phi)
-    k_prime = next((s for s in range(threshold, upper + 1) if rows[-1] >> 2 * s & 1), None)
-    if k_prime is None:
-        return None
-    final = _trace(make_nce(degrees, 2 * k_prime, r, phi), rows)
+    k_prime, final = found
     demand = [x - d for x, d in zip(final, degrees)]
     affected = [v for v in range(g.vertex_count) if demand[v] > 0]
     if affected and len(affected) < 2 * (r + 1) ** 2:
         raise InternalInvariantError(
             f"only {len(affected)} affected vertices at total {2 * k_prime}"
         )
-    edges = _realize_large(g, demand, k_prime)
+    edges = realize_large(g, demand, k_prime)
     solution = EditSolution(tuple(("add", u, v) for u, v in sorted(edges)))
     validate_solution(inst, solution)
     return solution
@@ -117,7 +111,7 @@ def kernelize_r(inst: DceInstance) -> KernelResult:
     size in between exists). The type-set kernel then bounds the instance
     by 2k'' + rk''(r+2) vertices with k'' = min(k, r(r+1)^2).
     """
-    _require_edge_addition(inst, "kernelize_r")
+    require_edge_addition(inst, "kernelize_r")
     work = inst
     threshold = solution_threshold(inst.r)
     if inst.k > threshold:

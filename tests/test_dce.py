@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degkit.dce import (
     EditKind,
@@ -25,7 +27,7 @@ from degkit.dsc import solve
 from degkit.errors import InvalidInputError, ResourceLimitError
 from degkit.graph import Graph
 
-from oracles import naive_dce_min_edits
+from oracles import all_pairs, naive_dce_min_edits
 
 
 def triple_instance(k: int = 3):
@@ -189,6 +191,33 @@ class TestKernelizeKr:
             assert result.instance.graph.vertex_count <= 2 * k + r * k * (r + 2)
             reduced = brute_force_solve(result.instance)
             assert (original is None) == (reduced is None)
+
+
+@st.composite
+def _small_e_plus(draw):
+    """Edge-addition instances small enough for the plain enumeration oracle."""
+    n = draw(st.integers(1, 8))
+    edges = [e for e in all_pairs(n) if draw(st.integers(0, 3)) == 0]
+    r = draw(st.integers(1, 3))
+    lists = draw(
+        st.lists(st.sets(st.integers(0, r), max_size=r + 1), min_size=n, max_size=n)
+    )
+    return make_dce(Graph(n, edges), draw(st.integers(0, 3)), r, lists)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_small_e_plus())
+def test_kernelize_kr_keeps_the_answer(inst):
+    expect = naive_dce_min_edits(inst.graph, inst.k, [set(s) for s in inst.tau.lists], "e+")
+    result = kernelize_kr(inst)
+    if isinstance(result, TrivialNo):
+        assert expect is None
+        return
+    k, r = inst.k, inst.r
+    kernel = result.instance
+    assert kernel.graph.vertex_count <= 2 * k + r * k * (r + 2)
+    got = naive_dce_min_edits(kernel.graph, kernel.k, [set(s) for s in kernel.tau.lists], "e+")
+    assert (got is None) == (expect is None)
 
 
 class TestBruteForce:

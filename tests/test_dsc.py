@@ -1,8 +1,11 @@
 """Degree-sequence completion framework and built-in properties."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degkit import dsc
 from degkit.dce import EditSolution
@@ -13,7 +16,6 @@ from degkit.dsc import (
     anonymity_property,
     anonymize,
     balanced_property,
-    block,
     block_set,
     dsc_bound_k,
     dsc_fpt_solve,
@@ -21,13 +23,14 @@ from degkit.dsc import (
     h_index_property,
     pi_nsc_decide,
     regular_property,
+    solve,
     validate_completion,
 )
 from degkit.errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from degkit.generators import gen_random_graph
 from degkit.graph import Graph, add_edges, degree_sequence
 
-from oracles import brute_dsc, brute_nsc
+from oracles import all_pairs, brute_dsc, brute_nsc
 
 
 def path3() -> Graph:
@@ -45,15 +48,6 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
 
 
 class TestBlocks:
-    def test_path_degree_one(self):
-        assert block(path3(), 1) == {0, 2}
-
-    def test_path_degree_two(self):
-        assert block(path3(), 2) == {1}
-
-    def test_above_max_degree(self):
-        assert block(path3(), 5) == set()
-
     def test_block_set_small_graph_keeps_all(self):
         assert block_set(path3(), 1) == {0, 1, 2}
 
@@ -80,9 +74,11 @@ class TestFptSolve:
         assert dsc_fpt_solve(inst) is None
 
     def test_core_cap_guard(self):
-        inst = DscInstance(Graph(30), 2, regular_property())
+        # 100 isolated vertices at k = 40 keep (0 + 2) * 40 = 80 of one block.
+        inst = DscInstance(Graph(100), 40, regular_property())
+        assert len(block_set(inst.graph, inst.k)) > dsc.CORE_CAP
         with pytest.raises(ResourceLimitError):
-            dsc_fpt_solve(inst, core_cap=3)
+            dsc_fpt_solve(inst)
 
     def test_rerouting_matches_unrestricted_bruteforce(self):
         rng = random.Random(515)
@@ -186,9 +182,18 @@ class TestDscSolve:
         inst = DscInstance(g, 3, regular_property(), 4)
         assert dsc_solve(inst) == set()
 
-    def test_requires_delta_prime(self):
-        with pytest.raises(InvalidInputError):
-            dsc_solve(DscInstance(path3(), 1, regular_property()))
+    def test_default_delta_prime(self):
+        inst = DscInstance(star3(), 2, regular_property())
+        assert inst.delta_prime == star3().max_degree() + 2 == 5
+        assert inst == DscInstance(star3(), 2, regular_property(), 5)
+
+    def test_large_budget_star_is_fast(self):
+        # The numeric pre-filter asks the regular solver about every total
+        # 2s, s <= k; each answer must not cost a scan up to the cap.
+        star = Graph(200, [(0, v) for v in range(1, 200)])
+        start = time.perf_counter()
+        assert solve(DscInstance(star, 8000, regular_property())) is None
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_regular_without_numeric_witness_is_no(self, seed):
@@ -223,9 +228,26 @@ class TestDscSolve:
     def test_wrong_large_answer_is_a_defect(self, monkeypatch):
         # Budget 5 is above the threshold 4 of delta' = 1, so the large
         # branch answers; one edge leaves eight of ten vertices at degree 0.
-        monkeypatch.setattr(dsc, "_realize_large", lambda *args: {(0, 1)})
+        monkeypatch.setattr(dsc, "realize_large", lambda *args: {(0, 1)})
         with pytest.raises(InternalInvariantError):
             dsc_solve(DscInstance(Graph(10), 5, regular_property(), 1))
+
+
+@st.composite
+def _small_dsc(draw):
+    n = draw(st.integers(1, 7))
+    edges = [e for e in all_pairs(n) if draw(st.integers(0, 2)) == 0]
+    prop = draw(st.sampled_from([regular_property(), anonymity_property(2)]))
+    return Graph(n, edges), draw(st.integers(0, 3)), prop
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_small_dsc())
+def test_default_cap_restricts_nothing(case):
+    g, k, prop = case
+    got = dsc_solve(DscInstance(g, k, prop))
+    assert got == dsc_solve(DscInstance(g, k, prop, g.max_degree() + k))
+    assert (got is None) == (brute_dsc(g, k, prop.fulfills) is None)
 
 
 class TestValidateCompletion:

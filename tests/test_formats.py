@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degkit import formats
 from degkit.dce import DceInstance, EditKind, EditSolution, make_dce
 from degkit.dsc import DscInstance, anonymity_property
 from degkit.errors import ParseError
 from degkit.formats import (
+    MAX_VERTICES,
     parse_instance,
     parse_solution,
     serialize_instance,
@@ -47,7 +49,7 @@ class TestParseInstance:
         inst = parse_instance("p dsc 3 1 2 anon 2\ne 1 2\n")
         assert isinstance(inst, DscInstance)
         assert inst.prop == anonymity_property(2)
-        assert inst.delta_prime is None
+        assert inst.delta_prime == 3  # max degree 1 + k 2
 
     def test_index_error_carries_line(self):
         with pytest.raises(ParseError) as err:
@@ -101,10 +103,32 @@ class TestParseInstance:
             parse_instance(text)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("n", [MAX_VERTICES, MAX_VERTICES + 1, 10**18])
+    @pytest.mark.parametrize("fields", ["dce {} 0 0 0", "dsc {} 0 0 regular"])
+    def test_vertex_cap(self, n, fields, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def graph(vertex_count, edges=()):
+            raise Built(vertex_count)
+
+        # Stands in for Graph, so that no header allocates its vertices.
+        monkeypatch.setattr(formats, "Graph", graph)
+        text = "p " + fields.format(n) + "\n"
+        if n <= MAX_VERTICES:
+            with pytest.raises(Built):
+                parse_instance(text)
+        else:
+            with pytest.raises(ParseError) as err:
+                parse_instance(text)
+            assert err.value.line == 1
+
 
 # Integers stay in -3..20, leaning to 0..3 so that endpoints, counts and
-# list entries often fit the header.
+# list entries often fit the header. n also draws values above the vertex
+# cap, which the parser rejects on the header line.
 _INT = st.one_of(st.integers(0, 3), st.integers(-3, 20)).map(str)
+_N = st.one_of(_INT, st.integers(MAX_VERTICES + 1, 10**30).map(str))
 _WORD = st.sampled_from(
     ["dce", "dsc", "regular", "anon", "hindex", "balanced", "e+", "e-", "v-", "x", "1.5"]
 )
@@ -121,7 +145,7 @@ _STRAY = st.builds(
 @st.composite
 def _instance_text(draw):
     """A header with e and t lines that often agree with it, plus stray lines."""
-    n, k, r = draw(_INT), draw(_INT), draw(_INT)
+    n, k, r = draw(_N), draw(_INT), draw(_INT)
     edges = draw(st.lists(st.builds("e {} {}".format, _INT, _INT), max_size=6))
     lists = draw(st.lists(st.lists(_INT, min_size=1, max_size=4).map(" ".join), max_size=4))
     lists = [f"t {entries}" for entries in lists]
@@ -139,8 +163,6 @@ def _instance_text(draw):
 
 
 class TestParserFuzz:
-    # Small integers only: the parser does not cap n, so a huge n would
-    # allocate without bound.
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_instance_text())
     def test_token_grammar_parses_or_raises_parse_error(self, text):

@@ -5,7 +5,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degkit.nce import make_nce, nce_decide, nce_decide_all_targets, nce_traceback
+from degkit.nce import (
+    least_even_total,
+    make_nce,
+    nce_decide,
+    nce_decide_all_targets,
+    nce_traceback,
+)
 
 from oracles import brute_nce
 
@@ -117,3 +123,17 @@ def test_all_targets_and_traceback_match_bruteforce(case):
             assert all(x >= d for x, d in zip(witness, degrees))
             assert all(x in s for x, s in zip(witness, phi))
             assert sum(x - d for x, d in zip(witness, degrees)) == j
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_nce_case(), st.integers(0, 4))
+def test_least_even_total_matches_bruteforce(case, lo):
+    degrees, hi, r, phi = case
+    phi = [frozenset(s) for s in phi]
+    expect = next((s for s in range(lo, hi + 1) if brute_nce(degrees, 2 * s, phi)), None)
+    found = least_even_total(degrees, phi, lo, hi)
+    if expect is None:
+        assert found is None
+    else:
+        # The witness is the one nce_traceback gives for the same total.
+        assert found == (expect, nce_traceback(make_nce(degrees, 2 * expect, r, phi)))
