@@ -43,6 +43,10 @@ def _load(path: str | Path) -> DceInstance | DscInstance:
     return parse_instance(Path(path).read_text())
 
 
+class _UsageError(Exception):
+    """An option that the loaded instance gives no meaning to."""
+
+
 def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -72,7 +76,11 @@ def _kernelize(inst: DceInstance | DscInstance, param: str):
 
 def _cmd_solve(args) -> int:
     inst = _load(args.instance)
-    if isinstance(inst, DscInstance):
+    if args.delta_prime is not None:
+        if not isinstance(inst, DscInstance):
+            raise _UsageError(
+                "argument --delta-prime: an edge-editing instance has no degree cap"
+            )
         inst = DscInstance(inst.graph, inst.k, inst.prop, args.delta_prime)
     _emit_solution(inst, solve(inst, args.limit), args)
     return 0
@@ -223,7 +231,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", parents=[output, verify], help="decide an instance")
     p.add_argument("instance")
     p.add_argument("--limit", type=int, default=None, help="search node budget")
-    p.add_argument("--delta-prime", type=int, default=None)
+    p.add_argument(
+        "--delta-prime",
+        type=int,
+        default=None,
+        help="degree cap of a dsc instance (default: its d line, else max degree + k)",
+    )
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("kernelize", parents=[output], help="shrink an instance")
@@ -282,6 +295,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2

@@ -301,25 +301,27 @@ def _search_edges(inst: DceInstance, budget: _Budget, adding: bool) -> list[Edge
     Any minimal solution must change the degree of every vertex that is
     unsatisfied along the way, so branching over the anchor's possible
     partners is complete. Iterative deepening returns a minimum solution.
+    The unsatisfied vertices are kept as a set, updated with every degree
+    change, so a node costs their number rather than n.
     """
     g, tau, n = inst.graph, inst.tau, inst.graph.vertex_count
     degs = list(g.degrees())
     targets = [sorted(tau[v]) for v in range(n)]
+    unsat = {v for v in range(n) if degs[v] not in tau[v]}
     changed: set[Edge] = set()
     sign = 1 if adding else -1
     what = "edge addition" if adding else "edge deletion"
 
-    def lowest_unsat() -> int:
-        for v in range(n):
-            if degs[v] not in tau[v]:
-                return v
-        return -1
+    def shift_degree(v: int, by: int) -> None:
+        degs[v] += by
+        if degs[v] in tau[v]:
+            unsat.discard(v)
+        else:
+            unsat.add(v)
 
     def prune(left: int) -> bool:
         need = 0
-        for v in range(n):
-            if degs[v] in tau[v]:
-                continue
+        for v in unsat:
             shift = _min_shift(targets[v], degs[v], left, sign)
             if shift is None:
                 return True
@@ -341,20 +343,20 @@ def _search_edges(inst: DceInstance, budget: _Budget, adding: bool) -> list[Edge
 
     def dfs(left: int) -> bool:
         budget.tick(what)
-        v = lowest_unsat()
-        if v == -1:
+        if not unsat:
             return True
         if left == 0 or prune(left):
             return False
+        v = min(unsat)
         for u in partners(v):
             e = normalize_edge(u, v)
             changed.add(e)
-            degs[u] += sign
-            degs[v] += sign
+            shift_degree(u, sign)
+            shift_degree(v, sign)
             if dfs(left - 1):
                 return True
-            degs[u] -= sign
-            degs[v] -= sign
+            shift_degree(u, -sign)
+            shift_degree(v, -sign)
             changed.discard(e)
         return False
 

@@ -2,7 +2,8 @@
 
 A property supplies a membership test on nonincreasing degree tuples and
 optionally a solver for its numeric completion problem (given degrees, an
-exact total increase, and a max-degree cap, produce increments). The
+exact total increase, and a max-degree cap, produce increments), or an
+exact realizer that decides the whole completion problem itself. The
 framework contributes the block-set search space, the bounded exhaustive
 solver, and the large-solution branch realized through complement factors.
 """
@@ -17,7 +18,7 @@ from collections.abc import Callable, Sequence
 from .dce import DceInstance, EditKind, EditSolution, brute_force_solve, solve_e_plus
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from .graph import Edge, Graph, add_edges, degree_sequence
-from .winwin import realize_large
+from .winwin import realize_demands, realize_large
 
 # Block-sets above this many vertices are refused: the enumeration over
 # their non-edges would not finish.
@@ -26,15 +27,22 @@ DEFAULT_ENUM_LIMIT = 1_000_000
 
 Fulfills = Callable[[tuple[int, ...]], bool]
 NscSolver = Callable[[Sequence[int], int, int], "list[int] | None"]
+Realizer = Callable[[Graph, int, int], "set[Edge] | None"]
 
 
 @dataclass(frozen=True)
 class PiProperty:
-    """Properties compare by name; the callables are construction details."""
+    """Properties compare by name; the callables are construction details.
+
+    `realize(graph, k, delta)`, when given, returns a minimum completion with
+    at most k additions and no degree above delta, or None when there is
+    none; `dsc_solve` then asks it instead of searching.
+    """
 
     name: str
     fulfills: Fulfills = field(compare=False)
     nsc_solver: NscSolver | None = field(compare=False, default=None)
+    realize: Realizer | None = field(compare=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -255,24 +263,17 @@ def _additions(edges: set[Edge]) -> EditSolution:
 
 
 def dsc_solve(inst: DscInstance, *, enum_limit: int = DEFAULT_ENUM_LIMIT) -> set[Edge] | None:
-    """Full pipeline: large-solution branch, clamp, then the FPT search.
+    """Full pipeline: the property's exact realizer when it ships one;
+    otherwise the large-solution branch, the clamp, then the FPT search.
 
     For a property with its own numeric solver, an instance whose numeric
     relaxation has no witness at any total 2s, s within the budget, is
     answered NO before the search. Every YES is re-validated on the input.
     """
-    threshold = bound_threshold(inst.delta_prime)
-    edges = dsc_bound_k(inst, enum_limit) if inst.k > threshold else None
-    work_k = min(inst.k, threshold)
-    if edges is None:
-        # s edge additions under the cap raise the degrees by increments of
-        # total 2s, so without any such numeric witness the answer is NO.
-        refuted = inst.prop.nsc_solver is not None and _first_numeric_witness(
-            inst.prop, inst.graph.degrees(), 0, work_k, inst.delta_prime, enum_limit
-        ) is None
-        if not refuted:
-            work = DscInstance(inst.graph, work_k, inst.prop, inst.delta_prime)
-            edges = dsc_fpt_solve(work, enum_limit=enum_limit)
+    if inst.prop.realize is not None:
+        edges = inst.prop.realize(inst.graph, inst.k, inst.delta_prime)
+    else:
+        edges = _search_completion(inst, enum_limit)
     if edges is not None:
         try:
             validate_completion(inst, _additions(edges))
@@ -281,11 +282,34 @@ def dsc_solve(inst: DscInstance, *, enum_limit: int = DEFAULT_ENUM_LIMIT) -> set
     return edges
 
 
+def _search_completion(inst: DscInstance, enum_limit: int) -> set[Edge] | None:
+    """The large-solution branch, the numeric NO, then the block-set search."""
+    threshold = bound_threshold(inst.delta_prime)
+    edges = dsc_bound_k(inst, enum_limit) if inst.k > threshold else None
+    if edges is not None:
+        return edges
+    work_k = min(inst.k, threshold)
+    # s edge additions under the cap raise the degrees by increments of
+    # total 2s, so without any such numeric witness the answer is NO.
+    if inst.prop.nsc_solver is not None and _first_numeric_witness(
+        inst.prop, inst.graph.degrees(), 0, work_k, inst.delta_prime, enum_limit
+    ) is None:
+        return None
+    work = DscInstance(inst.graph, work_k, inst.prop, inst.delta_prime)
+    return dsc_fpt_solve(work, enum_limit=enum_limit)
+
+
 # -- built-in properties ---------------------------------------------------------
 
 
 def regular_property() -> PiProperty:
-    """All degrees equal; ships a closed form for the common target degree."""
+    """All degrees equal; ships a closed form for the common target degree
+    and an exact realizer.
+
+    A regular completion with common degree c is exactly a (c - deg)-factor
+    of the complement, and its n*c - sum(deg) rise is twice its size, so the
+    least c whose factor exists gives a minimum completion.
+    """
 
     def fulfills(t: tuple[int, ...]) -> bool:
         return len(set(t)) <= 1
@@ -299,7 +323,19 @@ def regular_property() -> PiProperty:
             return None
         return [c - d for d in degrees]
 
-    return PiProperty("regular", fulfills, nsc)
+    def realize(g: Graph, k: int, delta: int) -> set[Edge] | None:
+        degrees = g.degrees()
+        n, total = len(degrees), sum(degrees)
+        c = max(degrees, default=0)
+        while c <= delta and n * c - total <= 2 * k:
+            if (n * c - total) % 2 == 0:
+                edges = realize_demands(g, [c - d for d in degrees])
+                if edges is not None:
+                    return edges
+            c += 1
+        return None
+
+    return PiProperty("regular", fulfills, nsc, realize)
 
 
 def h_index_property(ell: int) -> PiProperty:
@@ -353,6 +389,9 @@ def anonymity_nsc(
     d = [degrees[i] for i in order]
     if target < 0 or k_anon > n or delta < d[0]:
         return None
+    # No position rises above d[0] + target, so the table stops there
+    # however large the cap is.
+    top = min(delta, d[0] + target)
     prefix = [0]
     for value in d:
         prefix.append(prefix[-1] + value)
@@ -367,11 +406,11 @@ def anonymity_nsc(
         return (j - i) * t - (prefix[j] - prefix[i])
 
     mask = (1 << (target + 1)) - 1
-    reach = [[0] * (delta + 1) for _ in range(n)] + [[1] * (delta + 1)]
+    reach = [[0] * (top + 1) for _ in range(n)] + [[1] * (top + 1)]
     for i in range(n - 1, -1, -1):
         row = reach[i]
         acc = 0
-        for t in range(d[i], delta + 1):
+        for t in range(d[i], top + 1):
             for j in ends[i]:
                 c = cost(i, j, t)
                 if c > target:  # longer runs cost more
@@ -379,11 +418,11 @@ def anonymity_nsc(
                 acc |= reach[j][t] << c
             acc &= mask
             row[t] = acc
-    if not reach[0][delta] >> target & 1:
+    if not reach[0][top] >> target & 1:
         return None
 
     x_sorted = [0] * n
-    i, left, cap = 0, target, delta
+    i, left, cap = 0, target, top
     while i < n:
         step = next(
             (
@@ -433,10 +472,14 @@ def solve(inst: DceInstance | DscInstance, limit: int | None = None) -> EditSolu
     """A witness as edits for any instance kind, or None for a no-instance.
 
     Edge addition is kernelized, then refuted numerically or searched; edge
-    and vertex deletion get the exact anchored search; sequence completion
-    runs the large-solution branch, the clamp and the block-set search.
-    `limit` bounds the search: nodes for the anchored search, candidate sets
-    for the sequence-completion enumeration.
+    and vertex deletion get the exact anchored search. Regular sequence
+    completion is decided exactly by one complement f-factor per common
+    degree, tried from the least, so its answer is minimum. The other
+    properties run the large-solution branch, the clamp and the block-set
+    search; an answer of the large branch is within budget but not
+    necessarily minimum. `limit` bounds only the anchored search (nodes) and
+    the enumerations (candidate edge sets, and increment vectors for
+    properties without a numeric solver); the regular realizer takes none.
     """
     if isinstance(inst, DscInstance):
         edges = dsc_solve(inst) if limit is None else dsc_solve(inst, enum_limit=limit)

@@ -7,6 +7,9 @@ DIMACS-flavored, 1-based indices:
     p dsc <n> <m> <k> <property> [params]   (regular | anon K | hindex L | balanced L)
     e <u> <v>
     t <v> [d1 d2 ...]                       (DCE only; missing line = empty list)
+    d <delta_prime>                         (DSC only, at most once; the cap on
+                                             completed degrees, max degree + k
+                                             when missing)
 
 Headers with more than MAX_VERTICES vertices are rejected. Solutions are
 `NO` or `YES <count>` followed by one edit per line (`add u v`, `del u v`,
@@ -70,6 +73,8 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
     edge_seen: set[tuple[int, int]] = set()
     lists: dict[int, list[int]] = {}
     n = m = 0
+    cap: int | None = None
+    cap_line = 0
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -123,6 +128,16 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
                 if d < 0 or d > r:
                     raise ParseError(f"degree {d} outside 0..{r}", line_no)
             lists[v - 1] = values
+        elif kind == "d":
+            if header is None:
+                raise ParseError("degree cap before the problem line", line_no)
+            if header[1] != "dsc":
+                raise ParseError("a degree cap applies to dsc instances only", line_no)
+            if cap is not None:
+                raise ParseError("duplicate degree cap", line_no)
+            if len(tokens) != 2:
+                raise ParseError("degree-cap line needs one value", line_no)
+            cap, cap_line = _int(tokens[1], line_no), line_no
         else:
             raise ParseError(f"unknown line kind {kind!r}", line_no)
 
@@ -153,7 +168,12 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
             prop = _parse_property(header[5:], header_line)
             if lists:
                 raise ParseError("dsc instances carry no degree lists", header_line)
-            return DscInstance(graph, k, prop)
+            if cap is not None and cap < graph.max_degree():
+                raise ParseError(
+                    f"degree cap {cap} below the maximum degree {graph.max_degree()}",
+                    cap_line,
+                )
+            return DscInstance(graph, k, prop, cap)
     except InvalidInputError as exc:
         raise ParseError(str(exc), header_line) from exc
     raise ParseError(f"unknown problem kind {header[1]!r}", header_line)
@@ -178,6 +198,8 @@ def serialize_instance(inst: DceInstance | DscInstance) -> str:
         lines.append(
             f"p dsc {g.vertex_count} {g.edge_count} {inst.k} {_property_spec(inst.prop)}"
         )
+        if inst.delta_prime != g.max_degree() + inst.k:
+            lines.append(f"d {inst.delta_prime}")
     for u, v in g.edges():
         lines.append(f"e {u + 1} {v + 1}")
     if isinstance(inst, DceInstance):

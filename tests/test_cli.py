@@ -109,6 +109,15 @@ class TestSolveCommand:
         assert main(["solve", path]) == 0
         assert capsys.readouterr().out.startswith("YES 1")
 
+    def test_degree_cap_line_is_the_default(self, tmp_path, capsys):
+        # The d line caps degrees at 0, so no edge may be added; the option
+        # still replaces it.
+        path = write(tmp_path, "h1.dsc", "p dsc 2 0 1 hindex 1\nd 0\n")
+        assert main(["solve", path]) == 0
+        assert capsys.readouterr().out == "NO\n"
+        assert main(["solve", path, "--delta-prime", "1"]) == 0
+        assert capsys.readouterr().out.startswith("YES 1")
+
     def test_bad_witness_fails_verify_under_optimization(self, tmp_path):
         path = write(tmp_path, "reg.dsc", "p dsc 3 0 1 regular\n")
         script = (
@@ -285,11 +294,19 @@ def test_library_import_leaves_out_the_command_line():
         for flag in ("--seed=1", "--verify", "--limit=1", "-o=out")
         if flag.split("=")[0] not in READS.get(cmd, ("-o",))
     ]
-    + [("bench", "--jobs=2")],
+    + [("bench", "--jobs=2"), ("solve", "--delta-prime=0")],
 )
-def test_options_a_command_does_not_read_are_rejected(cmd, flag, capsys):
+def test_options_a_command_does_not_read_are_rejected(cmd, flag, capsys, tmp_path, monkeypatch):
+    # x.dce exists for the one option that only the loaded instance refuses:
+    # an edge-editing instance has no degree cap.
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "x.dce", TRIPLE)
     build_parser().parse_args(VALID_ARGV[cmd])
     with pytest.raises(SystemExit) as err:
         main(VALID_ARGV[cmd] + [flag])
     assert err.value.code == 1
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    if flag == "--delta-prime=0":
+        expected = "argument --delta-prime: an edge-editing instance has no degree cap"
+    else:
+        expected = f"unrecognized arguments: {flag}"
+    assert expected in capsys.readouterr().err

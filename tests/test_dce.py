@@ -220,6 +220,40 @@ def test_kernelize_kr_keeps_the_answer(inst):
     assert (got is None) == (expect is None)
 
 
+@st.composite
+def _planted_dce(draw, op):
+    """Small instances whose lists hold the degrees after up to three
+    planted edits of kind op, plus random extra entries."""
+    n = draw(st.integers(1, 7))
+    edges = [e for e in all_pairs(n) if draw(st.booleans())]
+    pool = sorted(set(all_pairs(n)) - set(edges)) if op is EditKind.EDGE_ADDITION else edges
+    planted = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True)) if pool else []
+    sign = 1 if op is EditKind.EDGE_ADDITION else -1
+    final = list(Graph(n, edges).degrees())
+    for u, v in planted:
+        final[u] += sign
+        final[v] += sign
+    r = max([3, *final])
+    lists = [
+        {final[v]} | draw(st.sets(st.integers(0, r), max_size=2)) for v in range(n)
+    ]
+    return make_dce(Graph(n, edges), draw(st.integers(0, 3)), r, lists, op)
+
+
+@pytest.mark.parametrize("op", [EditKind.EDGE_ADDITION, EditKind.EDGE_DELETION])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_brute_force_is_minimum(op, data):
+    inst = data.draw(_planted_dce(op))
+    lists = [set(s) for s in inst.tau.lists]
+    expect = naive_dce_min_edits(inst.graph, inst.k, lists, op.value)
+    sol = brute_force_solve(inst)
+    assert (sol is None) == (expect is None)
+    if sol is not None:
+        assert len(sol) == expect
+        validate_solution(inst, sol)
+
+
 class TestBruteForce:
     def test_triple_adds_everything(self):
         sol = brute_force_solve(triple_instance())
@@ -242,6 +276,15 @@ class TestBruteForce:
         sol = brute_force_solve(inst)
         assert sol is not None
         assert sorted(sol.edits) == [("del", 0, 1), ("del", 0, 2)]
+
+    def test_anchor_is_the_lowest_unsatisfied_vertex(self):
+        # Vertex 0 takes its first partner 1, then 2 takes 3; anchoring at
+        # any other vertex returns another perfect matching.
+        inst = make_dce(Graph(4), 2, 1, [{1}] * 4)
+        assert brute_force_solve(inst).edits == (("add", 0, 1), ("add", 2, 3))
+        cycle = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
+        inst = make_dce(cycle, 2, 2, [{1}] * 4, EditKind.EDGE_DELETION)
+        assert brute_force_solve(inst).edits == (("del", 0, 1), ("del", 2, 3))
 
     def test_node_limit(self):
         with pytest.raises(ResourceLimitError):

@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degkit import dsc
@@ -173,9 +173,11 @@ class TestDscSolve:
         assert dsc_solve(inst) == {(0, 2)}
 
     def test_ten_isolated_matching(self):
+        # Ten isolated vertices are already 0-regular, so the minimum is no
+        # edge at all; the 5-edge perfect matching of the large branch is
+        # covered by TestBoundK.test_ten_isolated_large_yes.
         inst = DscInstance(Graph(10), 5, regular_property(), 1)
-        edges = dsc_solve(inst)
-        assert edges is not None and len(edges) == 5
+        assert dsc_solve(inst) == set()
 
     def test_fulfilled_instance(self):
         g = Graph(4, [(0, 1), (2, 3)])
@@ -188,8 +190,8 @@ class TestDscSolve:
         assert inst == DscInstance(star3(), 2, regular_property(), 5)
 
     def test_large_budget_star_is_fast(self):
-        # The numeric pre-filter asks the regular solver about every total
-        # 2s, s <= k; each answer must not cost a scan up to the cap.
+        # Already the least common degree 199 needs a rise above 2k, so the
+        # realizer stops at once instead of scanning degrees up to the cap.
         star = Graph(200, [(0, v) for v in range(1, 200)])
         start = time.perf_counter()
         assert solve(DscInstance(star, 8000, regular_property())) is None
@@ -198,8 +200,8 @@ class TestDscSolve:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_regular_without_numeric_witness_is_no(self, seed):
         # No common degree c >= max degree has 24c - sum(d) even and at most
-        # 2k, so the numeric relaxation refutes the instance; enumerating
-        # the block-set instead exceeds the candidate limit.
+        # 2k, so the realizer tries no factor; enumerating the block-set
+        # instead exceeds the candidate limit.
         g = gen_random_graph(24, 0.3, seed)
         inst = DscInstance(g, 4, regular_property(), g.max_degree() + 4)
         assert dsc_solve(inst) is None
@@ -221,16 +223,81 @@ class TestDscSolve:
                 assert prop.fulfills(degree_sequence(final))
 
     def test_wrong_search_answer_is_a_defect(self, monkeypatch):
-        monkeypatch.setattr(dsc, "dsc_fpt_solve", lambda *args, **kwargs: {(0, 1)})
+        # The star has a numeric witness at budget 2, so the enumeration
+        # answers; the edge 1-2 leaves degrees 3 and 1 alone.
+        calls = []
+
+        def wrong(*args, **kwargs):
+            calls.append(args)
+            return {(1, 2)}
+
+        monkeypatch.setattr(dsc, "dsc_fpt_solve", wrong)
         with pytest.raises(InternalInvariantError):
-            dsc_solve(DscInstance(path3(), 1, regular_property(), 2))
+            dsc_solve(DscInstance(star3(), 2, anonymity_property(2)))
+        assert len(calls) == 1
 
     def test_wrong_large_answer_is_a_defect(self, monkeypatch):
         # Budget 5 is above the threshold 4 of delta' = 1, so the large
-        # branch answers; one edge leaves eight of ten vertices at degree 0.
-        monkeypatch.setattr(dsc, "realize_large", lambda *args: {(0, 1)})
+        # branch answers; the two edges lift vertex 0 alone to degree 2,
+        # above the cap.
+        calls = []
+
+        def wrong(*args):
+            calls.append(args)
+            return {(0, 1), (0, 2)}
+
+        monkeypatch.setattr(dsc, "realize_large", wrong)
         with pytest.raises(InternalInvariantError):
-            dsc_solve(DscInstance(Graph(10), 5, regular_property(), 1))
+            dsc_solve(DscInstance(Graph(10), 5, anonymity_property(2), 1))
+        assert len(calls) == 1
+
+    def test_wrong_realized_answer_is_a_defect(self, monkeypatch):
+        # The graph is 1-regular, so the realizer asks for the zero factor;
+        # the edge 0-2 leaves degrees 2, 1, 2, 1.
+        monkeypatch.setattr(dsc, "realize_demands", lambda *args: {(0, 2)})
+        with pytest.raises(InternalInvariantError):
+            dsc_solve(DscInstance(Graph(4, [(0, 1), (2, 3)]), 1, regular_property()))
+
+    def test_regular_skips_the_search(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the regular realizer must decide alone")
+
+        for name in ("dsc_fpt_solve", "dsc_bound_k", "pi_nsc_decide"):
+            monkeypatch.setattr(dsc, name, fail)
+        assert dsc_solve(DscInstance(path3(), 1, regular_property(), 2)) == {(0, 2)}
+        assert dsc_solve(DscInstance(Graph(10), 5, regular_property(), 1)) == set()
+        # One edge among three vertices: degree 1 is an odd rise, and the
+        # cap 1 forbids degree 2.
+        assert dsc_solve(DscInstance(Graph(3, [(0, 1)]), 6, regular_property(), 1)) is None
+
+
+@st.composite
+def _small_regular(draw):
+    """Small graphs with caps of 0 to 2 above the maximum degree; budgets
+    fall on both sides of the large-branch threshold delta'(delta' + 1)^2
+    when delta' is 0 or 1."""
+    n = draw(st.integers(0, 6))
+    edges = [e for e in all_pairs(n) if draw(st.integers(0, 3)) == 0]
+    g = Graph(n, edges)
+    return g, draw(st.integers(0, 5)), g.max_degree() + draw(st.integers(0, 2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_small_regular())
+@example((Graph(6), 5, 1))
+@example((Graph(5), 5, 1))
+@example((Graph(4, [(0, 1)]), 2, 1))
+def test_regular_matches_bruteforce(case):
+    g, k, delta = case
+    prop = regular_property()
+    got = dsc_solve(DscInstance(g, k, prop, delta))
+    expect = brute_dsc(g, k, prop.fulfills, delta)
+    assert (got is None) == (expect is None)
+    if got is not None:
+        assert len(got) == len(expect)
+        final = add_edges(g, got)
+        assert final.max_degree() <= delta
+        assert prop.fulfills(degree_sequence(final))
 
 
 @st.composite
@@ -323,6 +390,13 @@ class TestAnonymity:
         x = anonymity_nsc([2] * 1998 + [1, 1], 3, 2, 3)
         assert x is not None and sum(x) == 2
         assert anonymity_fulfills([d + v for d, v in zip([2] * 1998 + [1, 1], x)], 3)
+
+    def test_nsc_huge_cap(self):
+        # The table is as wide as the largest reachable degree, not the cap:
+        # a cap of 10^12 would otherwise allocate 10^12 cells per row.
+        assert anonymity_nsc([3, 1, 1, 1], 2, 4, 10**12) == [0, 2, 1, 1]
+        edges = dsc_solve(DscInstance(star3(), 2, anonymity_property(2), 10**12))
+        assert edges is not None and len(edges) == 2
 
     def test_nsc_matches_bruteforce_random_orderings(self):
         # Same agreement when the input degrees arrive unsorted.

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from degkit import formats
 from degkit.dce import DceInstance, EditKind, EditSolution, make_dce
-from degkit.dsc import DscInstance, anonymity_property
+from degkit.dsc import DscInstance, anonymity_property, regular_property
 from degkit.errors import ParseError
 from degkit.formats import (
     MAX_VERTICES,
@@ -138,17 +138,18 @@ _PROPERTY = st.one_of(
     st.builds("{} {}".format, st.sampled_from(["anon", "hindex", "balanced", "x"]), _INT),
 )
 _STRAY = st.builds(
-    "{} {}".format, st.sampled_from(["p", "e", "t", "c", "q"]), _TOKENS.map(" ".join)
+    "{} {}".format, st.sampled_from(["p", "e", "t", "d", "c", "q"]), _TOKENS.map(" ".join)
 )
 
 
 @st.composite
 def _instance_text(draw):
-    """A header with e and t lines that often agree with it, plus stray lines."""
+    """A header with e, d and t lines that often agree with it, plus stray lines."""
     n, k, r = draw(_N), draw(_INT), draw(_INT)
     edges = draw(st.lists(st.builds("e {} {}".format, _INT, _INT), max_size=6))
     lists = draw(st.lists(st.lists(_INT, min_size=1, max_size=4).map(" ".join), max_size=4))
     lists = [f"t {entries}" for entries in lists]
+    caps = draw(st.lists(st.builds("d {}".format, _INT), max_size=2))
     m = draw(st.one_of(st.just(str(len(edges))), _INT))
     if draw(st.booleans()):
         op = draw(st.sampled_from(["", " e+", " e-", " v-", " x", " e+ 1"]))
@@ -159,7 +160,7 @@ def _instance_text(draw):
             lists = []
     before = draw(st.lists(_STRAY, max_size=1))
     after = draw(st.lists(_STRAY, max_size=1))
-    return "\n".join([*before, header, *edges, *lists, *after])
+    return "\n".join([*before, header, *edges, *caps, *lists, *after])
 
 
 class TestParserFuzz:
@@ -193,6 +194,42 @@ class TestRoundTrip:
             )
             inst = parse_instance(text)
             assert parse_instance(serialize_instance(inst)) == inst
+
+    @pytest.mark.parametrize("cap", [None, 2, 3, 5])
+    def test_dsc_degree_cap(self, cap):
+        path3 = Graph(3, [(0, 1), (1, 2)])
+        inst = DscInstance(path3, 1, regular_property(), cap)
+        text = serialize_instance(inst)
+        # Only a cap other than the default max degree + k gets a line.
+        assert ("\nd " in text) == (cap not in (None, 3))
+        assert parse_instance(text) == inst
+
+
+class TestDegreeCapLine:
+    def test_cap_anywhere_after_the_header(self):
+        inst = parse_instance("p dsc 3 1 4 regular\ne 1 2\nc note\nd 2\n")
+        assert inst.delta_prime == 2
+
+    def test_cap_at_the_maximum_degree(self):
+        assert parse_instance("p dsc 2 1 3 anon 2\nd 1\ne 1 2\n").delta_prime == 1
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("d 3\np dsc 2 0 1 regular\n", 1),
+            ("p dce 2 0 1 1\nd 3\n", 2),
+            ("p dsc 2 0 1 regular\nd 3\nd 3\n", 3),
+            ("p dsc 2 0 1 regular\nd\n", 2),
+            ("p dsc 2 0 1 regular\nd 1 2\n", 2),
+            ("p dsc 2 0 1 regular\nd x\n", 2),
+            ("p dsc 3 2 1 regular\ne 1 2\nd 1\ne 1 3\n", 3),
+            ("p dsc 2 0 1 regular\nd -1\n", 2),
+        ],
+    )
+    def test_bad_cap_lines(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert err.value.line == line
 
 
 class TestSolutions:

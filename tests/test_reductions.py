@@ -4,9 +4,12 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from degkit.dce import brute_force_solve
 from degkit.errors import InvalidInputError
+from degkit.generators import gen_cubic
 from degkit.graph import Graph
 from degkit.reductions import (
     approx_vertex_cover,
@@ -18,6 +21,7 @@ from degkit.reductions import (
 )
 
 from oracles import (
+    all_pairs,
     has_clique,
     has_independent_set,
     has_vertex_cover,
@@ -218,3 +222,56 @@ class TestProvenance:
         out = clique_to_dce_vminus(k4(), 3, {0, 1, 2})
         assert set(out.provenance) == set(range(out.instance.graph.vertex_count))
         assert any(role.startswith("watch") for role in out.provenance.values())
+
+
+@st.composite
+def _small_graph(draw, min_n, max_n, isolated=True):
+    """A random graph; without `isolated`, every isolated vertex is joined to
+    the next vertex."""
+    n = draw(st.integers(min_n, max_n))
+    edges = {e for e in all_pairs(n) if draw(st.booleans())}
+    if not isolated:
+        for v in range(n):
+            if not any(v in e for e in edges):
+                w = (v + 1) % n
+                edges.add((min(v, w), max(v, w)))
+    return Graph(n, sorted(edges))
+
+
+@st.composite
+def _clique_source(draw):
+    """A clique question the reductions accept: every vertex has degree at
+    least h. The cover is the approximate one, or it plus extra vertices.
+    Up to five vertices, every such question has answer yes."""
+    g = draw(_small_graph(2, 5, isolated=False))
+    h = draw(st.integers(1, g.min_degree()))
+    extra = draw(st.sets(st.integers(0, g.vertex_count - 1)))
+    return g, h, approx_vertex_cover(g) | extra
+
+
+# K_{2,2,2}: every degree is 4, the largest clique has 3 vertices.
+OCTAHEDRON = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 3])
+
+
+class TestReductionsKeepTheAnswer:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_small_graph(0, 6), st.integers(0, 6))
+    def test_vertex_cover(self, g, h):
+        got = brute_force_solve(vc_to_dce_vminus(g, h).instance) is not None
+        assert got == has_vertex_cover(g, h)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([4, 6, 8]), st.integers(0, 2**16), st.integers(1, 4))
+    def test_independent_set(self, n, seed, h):
+        g = gen_cubic(n, seed)
+        got = brute_force_solve(is_to_dce_eplus(g, h).instance) is not None
+        assert got == has_independent_set(g, h)
+
+    @pytest.mark.parametrize("reduce", [clique_to_dce_eminus, clique_to_dce_vminus])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_clique_source())
+    @example((OCTAHEDRON, 4, None))
+    def test_clique(self, reduce, case):
+        g, h, cover = case
+        got = brute_force_solve(reduce(g, h, cover).instance) is not None
+        assert got == has_clique(g, h)
