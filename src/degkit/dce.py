@@ -89,6 +89,11 @@ class EditSolution:
         return len(self.edits)
 
 
+def additions(edges: Iterable[Edge]) -> EditSolution:
+    """The edges as addition edits, in sorted order."""
+    return EditSolution(tuple(("add", u, v) for u, v in sorted(edges)))
+
+
 @dataclass(frozen=True)
 class TrivialNo:
     reason: str = ""

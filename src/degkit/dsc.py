@@ -1,24 +1,25 @@
 """Degree-sequence completion with pluggable tuple properties.
 
-A property supplies a membership test on nonincreasing degree tuples and
-optionally a solver for its numeric completion problem (given degrees, an
-exact total increase, and a max-degree cap, produce increments), or an
-exact realizer that decides the whole completion problem itself. The
-framework contributes the block-set search space, the bounded exhaustive
-solver, and the large-solution branch realized through complement factors.
+A property supplies a membership test on nonincreasing degree tuples, a
+polynomial solver for its numeric completion problem (the first total of a
+range of increases that increments under a cap reach), and optionally an
+exact realizer of the whole completion problem. The framework contributes
+the block-set search space, the bounded exhaustive solver, the numeric NO,
+and the large-solution branch realized through complement factors.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 
-from .dce import DceInstance, EditKind, EditSolution, brute_force_solve, solve_e_plus
+from .dce import DceInstance, EditKind, EditSolution, additions, brute_force_solve, solve_e_plus
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from .graph import Edge, Graph, add_edges, degree_sequence
-from .winwin import realize_demands, realize_large
+from .winwin import realize_demands, realize_large, solution_threshold
 
 # Block-sets above this many vertices are refused: the enumeration over
 # their non-edges would not finish.
@@ -26,13 +27,19 @@ CORE_CAP = 64
 DEFAULT_ENUM_LIMIT = 1_000_000
 
 Fulfills = Callable[[tuple[int, ...]], bool]
-NscSolver = Callable[[Sequence[int], int, int], "list[int] | None"]
+NumericWitness = tuple[int, list[int]]  # a total increase and its increments
+NscSolver = Callable[[Sequence[int], range, int], "NumericWitness | None"]
 Realizer = Callable[[Graph, int, int], "set[Edge] | None"]
 
 
 @dataclass(frozen=True)
 class PiProperty:
     """Properties compare by name; the callables are construction details.
+
+    `nsc_solver(degrees, totals, delta)` runs in polynomial time and returns
+    (total, increments) for the first total of the increasing range whose
+    increments keep every degree at most delta and fulfill the property, or
+    None; a degree already above delta gives None.
 
     `realize(graph, k, delta)`, when given, returns a minimum completion with
     at most k additions and no degree above delta, or None when there is
@@ -41,7 +48,7 @@ class PiProperty:
 
     name: str
     fulfills: Fulfills = field(compare=False)
-    nsc_solver: NscSolver | None = field(compare=False, default=None)
+    nsc_solver: NscSolver = field(compare=False)
     realize: Realizer | None = field(compare=False, default=None)
 
 
@@ -131,116 +138,61 @@ def dsc_fpt_solve(inst: DscInstance, *, enum_limit: int = DEFAULT_ENUM_LIMIT) ->
 # -- numeric completion --------------------------------------------------------
 
 
-def _validate_increments(
-    prop: PiProperty, degrees: Sequence[int], x: Sequence[int], target: int, delta: int
-) -> None:
+def _numeric_witness(
+    prop: PiProperty, degrees: Sequence[int], totals: range, delta: int
+) -> NumericWitness | None:
+    """The property's first witness over totals, re-validated."""
+    found = prop.nsc_solver(degrees, totals, delta)
+    if found is None:
+        return None
+    total, x = found
     if len(x) != len(degrees) or any(v < 0 for v in x):
         raise InternalInvariantError(f"{prop.name}: malformed increment vector")
-    if sum(x) != target:
-        raise InternalInvariantError(f"{prop.name}: increments sum to {sum(x)} != {target}")
+    if sum(x) != total or total not in totals:
+        raise InternalInvariantError(f"{prop.name}: increments sum to {sum(x)}, not {total}")
     final = [d + v for d, v in zip(degrees, x)]
     if any(f > delta for f in final):
         raise InternalInvariantError(f"{prop.name}: a completed degree exceeds {delta}")
     if not prop.fulfills(tuple(sorted(final, reverse=True))):
         raise InternalInvariantError(f"{prop.name}: completed tuple does not fulfill")
-
-
-def _generic_nsc(
-    fulfills: Fulfills,
-    degrees: Sequence[int],
-    target: int,
-    delta: int,
-    enum_limit: int,
-) -> list[int] | None:
-    """Bounded enumeration over increment vectors, lexicographically."""
-    n = len(degrees)
-    acc = [0] * n
-    seen = 0
-
-    def rec(i: int, left: int) -> bool:
-        nonlocal seen
-        if i == n:
-            seen += 1
-            if seen > enum_limit:
-                raise ResourceLimitError(
-                    f"generic numeric completion exceeded {enum_limit} vectors"
-                )
-            if left != 0:
-                return False
-            final = tuple(sorted((d + v for d, v in zip(degrees, acc)), reverse=True))
-            return fulfills(final)
-        for v in range(0, min(delta - degrees[i], left) + 1):
-            acc[i] = v
-            if rec(i + 1, left - v):
-                return True
-        acc[i] = 0
-        return False
-
-    return list(acc) if rec(0, target) else None
+    return found
 
 
 def pi_nsc_decide(
-    prop: PiProperty,
-    degrees: Sequence[int],
-    target: int,
-    delta: int,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
+    prop: PiProperty, degrees: Sequence[int], target: int, delta: int
 ) -> list[int] | None:
-    """Increments meeting total, cap, and property, or None.
-
-    Dispatches to the property's own solver when it ships one; otherwise
-    falls back to guarded enumeration. Witnesses are re-validated either
-    way.
-    """
+    """Increments meeting total, cap, and property, or None."""
     if target < 0 or delta < 0:
         return None
-    if prop.nsc_solver is not None:
-        x = prop.nsc_solver(degrees, target, delta)
-    else:
-        x = _generic_nsc(prop.fulfills, degrees, target, delta, enum_limit)
-    if x is None:
-        return None
-    _validate_increments(prop, degrees, x, target, delta)
-    return list(x)
+    found = _numeric_witness(prop, degrees, range(target, target + 1), delta)
+    return None if found is None else found[1]
 
 
 # -- bounding the budget by the target maximum degree ---------------------------
 
 
-def bound_threshold(delta_prime: int) -> int:
-    return delta_prime * (delta_prime + 1) ** 2
-
-
-def dsc_bound_k(inst: DscInstance, enum_limit: int = DEFAULT_ENUM_LIMIT) -> set[Edge] | None:
+def dsc_bound_k(inst: DscInstance) -> set[Edge] | None:
     """Scan totals 2k' from the threshold up; realize the first numeric yes.
 
     None means that no k' from the threshold up to k has a numeric witness:
     budgets above the threshold are then useless, and the instance clamps
     down to it.
     """
-    threshold = bound_threshold(inst.delta_prime)
+    threshold = solution_threshold(inst.delta_prime)
     if inst.k <= threshold:
         raise InvalidInputError(f"budget {inst.k} not above the threshold {threshold}")
-    found = _first_numeric_witness(
-        inst.prop, inst.graph.degrees(), threshold, inst.k, inst.delta_prime, enum_limit
-    )
-    if found is None:
-        return None
-    k_prime, x = found
-    return realize_large(inst.graph, x, k_prime)
+    degrees = inst.graph.degrees()
+    found = _first_numeric_witness(inst.prop, degrees, threshold, inst.k, inst.delta_prime)
+    return None if found is None else realize_large(inst.graph, found[1], found[0])
 
 
 def _first_numeric_witness(
-    prop: PiProperty, degrees: Sequence[int], lo: int, hi: int, delta: int, enum_limit: int
+    prop: PiProperty, degrees: Sequence[int], lo: int, hi: int, delta: int
 ) -> tuple[int, list[int]] | None:
     """The least s in lo..hi whose total 2s has a numeric witness under
-    delta, with that witness; totals above the room below delta have none."""
-    max_rise = sum(delta - d for d in degrees)
-    for s in range(lo, min(hi, max_rise // 2) + 1):
-        x = pi_nsc_decide(prop, degrees, 2 * s, delta, enum_limit)
-        if x is not None:
-            return s, x
-    return None
+    delta, with that witness."""
+    found = _numeric_witness(prop, degrees, range(2 * lo, 2 * hi + 1, 2), delta)
+    return None if found is None else (found[0] // 2, found[1])
 
 
 def validate_completion(inst: DscInstance, sol: EditSolution) -> None:
@@ -258,17 +210,14 @@ def validate_completion(inst: DscInstance, sol: EditSolution) -> None:
         raise InvalidInputError(f"a completed degree exceeds {inst.delta_prime}")
 
 
-def _additions(edges: set[Edge]) -> EditSolution:
-    return EditSolution(tuple(("add", u, v) for u, v in sorted(edges)))
-
-
 def dsc_solve(inst: DscInstance, *, enum_limit: int = DEFAULT_ENUM_LIMIT) -> set[Edge] | None:
     """Full pipeline: the property's exact realizer when it ships one;
     otherwise the large-solution branch, the clamp, then the FPT search.
 
-    For a property with its own numeric solver, an instance whose numeric
-    relaxation has no witness at any total 2s, s within the budget, is
-    answered NO before the search. Every YES is re-validated on the input.
+    An instance whose numeric relaxation has no witness at any total 2s, s
+    within the budget, is answered NO before the search; `enum_limit`
+    bounds only the block-set enumeration. Every YES is re-validated on the
+    input.
     """
     if inst.prop.realize is not None:
         edges = inst.prop.realize(inst.graph, inst.k, inst.delta_prime)
@@ -276,7 +225,7 @@ def dsc_solve(inst: DscInstance, *, enum_limit: int = DEFAULT_ENUM_LIMIT) -> set
         edges = _search_completion(inst, enum_limit)
     if edges is not None:
         try:
-            validate_completion(inst, _additions(edges))
+            validate_completion(inst, additions(edges))
         except InvalidInputError as exc:
             raise InternalInvariantError(f"completion fails re-validation: {exc}") from exc
     return edges
@@ -284,16 +233,15 @@ def dsc_solve(inst: DscInstance, *, enum_limit: int = DEFAULT_ENUM_LIMIT) -> set
 
 def _search_completion(inst: DscInstance, enum_limit: int) -> set[Edge] | None:
     """The large-solution branch, the numeric NO, then the block-set search."""
-    threshold = bound_threshold(inst.delta_prime)
-    edges = dsc_bound_k(inst, enum_limit) if inst.k > threshold else None
+    threshold = solution_threshold(inst.delta_prime)
+    edges = dsc_bound_k(inst) if inst.k > threshold else None
     if edges is not None:
         return edges
     work_k = min(inst.k, threshold)
     # s edge additions under the cap raise the degrees by increments of
     # total 2s, so without any such numeric witness the answer is NO.
-    if inst.prop.nsc_solver is not None and _first_numeric_witness(
-        inst.prop, inst.graph.degrees(), 0, work_k, inst.delta_prime, enum_limit
-    ) is None:
+    degrees = inst.graph.degrees()
+    if _first_numeric_witness(inst.prop, degrees, 0, work_k, inst.delta_prime) is None:
         return None
     work = DscInstance(inst.graph, work_k, inst.prop, inst.delta_prime)
     return dsc_fpt_solve(work, enum_limit=enum_limit)
@@ -314,14 +262,20 @@ def regular_property() -> PiProperty:
     def fulfills(t: tuple[int, ...]) -> bool:
         return len(set(t)) <= 1
 
-    def nsc(degrees: Sequence[int], target: int, delta: int) -> list[int] | None:
-        n = len(degrees)
+    def nsc(degrees: Sequence[int], totals: range, delta: int) -> NumericWitness | None:
+        n, total = len(degrees), sum(degrees)
         if n == 0:
-            return [] if target == 0 else None
-        c, rest = divmod(target + sum(degrees), n)
-        if rest or not max(degrees) <= c <= delta:
+            return (0, []) if 0 in totals else None
+        low = max(degrees)
+        if low > delta:
             return None
-        return [c - d for d in degrees]
+        # Common degree c rises by n*c - total; from the first c that reaches
+        # the range on, that rise repeats modulo the step with period step.
+        first = max(low, -(-(totals.start + total) // n))
+        for c in itertools.islice(range(first, delta + 1), totals.step):
+            if n * c - total in totals:
+                return n * c - total, [c - d for d in degrees]
+        return None
 
     def realize(g: Graph, k: int, delta: int) -> set[Edge] | None:
         degrees = g.degrees()
@@ -339,25 +293,50 @@ def regular_property() -> PiProperty:
 
 
 def h_index_property(ell: int) -> PiProperty:
-    """At least ell entries of value at least ell; generic numeric fallback."""
+    """At least ell entries of value at least ell. Lifting the ell largest
+    entries to ell is the least rise that works; rises never hurt, so every
+    larger total under the cap works too, spread in index order."""
     if ell < 0:
         raise InvalidInputError("h-index bound must be nonnegative")
 
     def fulfills(t: tuple[int, ...]) -> bool:
         return sum(1 for d in t if d >= ell) >= ell
 
-    return PiProperty(f"hindex-{ell}", fulfills)
+    def nsc(degrees: Sequence[int], totals: range, delta: int) -> NumericWitness | None:
+        n = len(degrees)
+        if ell > n or any(d > delta for d in degrees) or (ell > 0 and ell > delta):
+            return None
+        x = [0] * n
+        for v in sorted(range(n), key=lambda v: degrees[v], reverse=True)[:ell]:
+            x[v] = max(0, ell - degrees[v])
+        least = sum(x)
+        fits = totals[bisect_left(totals, least):]
+        if not fits or fits[0] > sum(delta - d for d in degrees):
+            return None
+        rest = fits[0] - least
+        for v in range(n):
+            lift = min(delta - degrees[v] - x[v], rest)
+            x[v] += lift
+            rest -= lift
+        return fits[0], x
+
+    return PiProperty(f"hindex-{ell}", fulfills, nsc)
 
 
 def balanced_property(ell: int) -> PiProperty:
-    """Every occurring degree occurs exactly ell times; generic fallback."""
+    """Every occurring degree occurs exactly ell times; the sorted
+    completed tuple is runs of exactly ell equal entries with strictly
+    decreasing values, which the run table of `_runs_nsc` solves."""
     if ell < 1:
         raise InvalidInputError("balancedness multiplicity must be positive")
 
     def fulfills(t: tuple[int, ...]) -> bool:
         return all(c == ell for c in Counter(t).values())
 
-    return PiProperty(f"balanced-{ell}", fulfills)
+    def nsc(degrees: Sequence[int], totals: range, delta: int) -> NumericWitness | None:
+        return _runs_nsc(degrees, ell, ell, True, totals, delta)
+
+    return PiProperty(f"balanced-{ell}", fulfills, nsc)
 
 
 def anonymity_fulfills(t: Sequence[int], k_anon: int) -> bool:
@@ -367,84 +346,98 @@ def anonymity_fulfills(t: Sequence[int], k_anon: int) -> bool:
     return all(c >= k_anon for c in Counter(t).values())
 
 
-def anonymity_nsc(
-    degrees: Sequence[int], k_anon: int, target: int, delta: int
-) -> list[int] | None:
-    """Polynomial assignment of target degrees along the sorted sequence.
+def _runs_nsc(
+    degrees: Sequence[int], shortest: int, longest: int, strict: bool, totals: range, delta: int
+) -> NumericWitness | None:
+    """The first total of totals whose completed sorted tuple splits into
+    runs of shortest..longest equal entries, each run's value at most the
+    previous one's (below it when strict), with its increments.
 
     Targets may be assumed nonincreasing along the nonincreasingly sorted
-    input (a swap argument reorders any witness), so a witness groups
-    consecutive runs of at least k_anon positions onto a shared target. A
-    run of 2*k_anon or more positions splits into two runs on the same
-    target, so runs shorter than 2*k_anon suffice. The table is filled
-    bottom-up: bit s of reach[i][c] says that positions i.. can rise by s
-    in total with every target at most c.
+    input (a swap argument reorders any witness), so a witness assigns
+    consecutive runs of sorted positions onto shared targets. One table
+    serves every total of the range: filled bottom-up, bit s of
+    reach[i][c + 1] says that positions i.. can rise by s in total with
+    every target at most c. Column 0 stands for c = -1, which only the
+    empty suffix meets.
     """
-    if k_anon < 1:
-        raise InvalidInputError("anonymity level must be positive")
     n = len(degrees)
     if n == 0:
-        return [] if target == 0 else None
+        return (0, []) if 0 in totals else None
     order = sorted(range(n), key=lambda i: degrees[i], reverse=True)
     d = [degrees[i] for i in order]
-    if target < 0 or k_anon > n or delta < d[0]:
+    if not totals or totals[-1] < 0 or delta < d[0]:
         return None
-    # No position rises above d[0] + target, so the table stops there
-    # however large the cap is.
-    top = min(delta, d[0] + target)
-    prefix = [0]
-    for value in d:
-        prefix.append(prefix[-1] + value)
+    # No total above the room below the cap is reachable, and no position
+    # rises above d[0] + widest, so the table stops there however large the
+    # cap is.
+    widest = min(totals[-1], sum(delta - value for value in d))
+    top = min(delta, d[0] + widest)
+    prefix = list(itertools.accumulate(d, initial=0))
     # Run ends j for a run starting at i; the rest must be empty or a run.
     ends = [
-        [j for j in range(i + k_anon, min(i + 2 * k_anon - 1, n) + 1)
-         if j == n or n - j >= k_anon]
+        [j for j in range(i + shortest, min(i + longest, n) + 1)
+         if j == n or n - j >= shortest]
         for i in range(n)
     ]
+    # The rest of a run with target t looks up its column for cap t, or
+    # t - 1 when strict.
+    lag = 1 if strict else 0
 
     def cost(i: int, j: int, t: int) -> int:
         return (j - i) * t - (prefix[j] - prefix[i])
 
-    mask = (1 << (target + 1)) - 1
-    reach = [[0] * (top + 1) for _ in range(n)] + [[1] * (top + 1)]
+    mask = (1 << (widest + 1)) - 1
+    reach = [[0] * (top + 2) for _ in range(n)] + [[1] * (top + 2)]
     for i in range(n - 1, -1, -1):
         row = reach[i]
         acc = 0
         for t in range(d[i], top + 1):
             for j in ends[i]:
                 c = cost(i, j, t)
-                if c > target:  # longer runs cost more
+                if c > widest:  # longer runs cost more
                     break
-                acc |= reach[j][t] << c
+                acc |= reach[j][t + 1 - lag] << c
             acc &= mask
-            row[t] = acc
-    if not reach[0][top] >> target & 1:
+            row[t + 1] = acc
+    reached = reach[0][top + 1]
+    candidates = totals[bisect_left(totals, 0):bisect_right(totals, widest)]
+    total = next((s for s in candidates if reached >> s & 1), None)
+    if total is None:
         return None
 
-    x_sorted = [0] * n
-    i, left, cap = 0, target, top
+    x = [0] * n
+    i, left, cap = 0, total, top
     while i < n:
         step = next(
             (
                 (j, t)
                 for t in range(d[i], cap + 1)
                 for j in ends[i]
-                if cost(i, j, t) <= left and reach[j][t] >> (left - cost(i, j, t)) & 1
+                if cost(i, j, t) <= left
+                and reach[j][t + 1 - lag] >> (left - cost(i, j, t)) & 1
             ),
             None,
         )
         if step is None:
-            raise InternalInvariantError("anonymity table disagrees with traceback")
+            raise InternalInvariantError("run table disagrees with traceback")
         j, t = step
         for pos in range(i, j):
-            x_sorted[pos] = t - d[pos]
-        i, left, cap = j, left - cost(i, j, t), t
+            x[order[pos]] = t - d[pos]
+        i, left, cap = j, left - cost(i, j, t), t - lag
+    return total, x
 
-    result = [0] * n
-    for pos, original in enumerate(order):
-        result[original] = x_sorted[pos]
-    _validate_increments(anonymity_property(k_anon), degrees, result, target, delta)
-    return result
+
+def anonymity_nsc(
+    degrees: Sequence[int], k_anon: int, target: int, delta: int
+) -> list[int] | None:
+    """Increments of total target under delta making the degrees
+    k_anon-anonymous, or None. A run of 2*k_anon or more sorted positions
+    splits into two runs on one target, so shorter runs suffice."""
+    found = _numeric_witness(
+        anonymity_property(k_anon), degrees, range(target, target + 1), delta
+    )
+    return None if found is None else found[1]
 
 
 def anonymity_property(k_anon: int) -> PiProperty:
@@ -454,8 +447,8 @@ def anonymity_property(k_anon: int) -> PiProperty:
     def fulfills(t: tuple[int, ...]) -> bool:
         return anonymity_fulfills(t, k_anon)
 
-    def nsc(degrees: Sequence[int], target: int, delta: int) -> list[int] | None:
-        return anonymity_nsc(degrees, k_anon, target, delta)
+    def nsc(degrees: Sequence[int], totals: range, delta: int) -> NumericWitness | None:
+        return _runs_nsc(degrees, k_anon, 2 * k_anon - 1, False, totals, delta)
 
     return PiProperty(f"anon-{k_anon}", fulfills, nsc)
 
@@ -475,14 +468,15 @@ def solve(inst: DceInstance | DscInstance, limit: int | None = None) -> EditSolu
     and vertex deletion get the exact anchored search. Regular sequence
     completion is decided exactly by one complement f-factor per common
     degree, tried from the least, so its answer is minimum. The other
-    properties run the large-solution branch, the clamp and the block-set
+    properties run the large-solution branch and the numeric NO, both on
+    their polynomial numeric solvers, then the clamp and the block-set
     search; an answer of the large branch is within budget but not
     necessarily minimum. `limit` bounds only the anchored search (nodes) and
-    the enumerations (candidate edge sets, and increment vectors for
-    properties without a numeric solver); the regular realizer takes none.
+    the block-set enumeration (candidate edge sets); the regular realizer
+    takes none.
     """
     if isinstance(inst, DscInstance):
         edges = dsc_solve(inst) if limit is None else dsc_solve(inst, enum_limit=limit)
-        return None if edges is None else _additions(edges)
+        return None if edges is None else additions(edges)
     search = solve_e_plus if inst.op_kind is EditKind.EDGE_ADDITION else brute_force_solve
     return search(inst) if limit is None else search(inst, node_limit=limit)

@@ -82,8 +82,6 @@ def _factor_via_gadget(g: Graph, h: tuple[int, ...]) -> set[Edge] | None:
     for v in range(n):
         if h[v] == 0:
             continue
-        if h[v] > g.degree(v):
-            return None
         for u in g.adj[v]:
             stub[(v, u)] = size
             size += 1
@@ -117,8 +115,6 @@ def _factor_via_gadget(g: Graph, h: tuple[int, ...]) -> set[Edge] | None:
                 gadget_edges.append((s, filler))
             seed.append((spare[i], filler))
 
-    if size % 2 == 1:
-        return None
     matching = max_matching(Graph(size, gadget_edges), initial=seed)
     if 2 * len(matching) != size:
         return None

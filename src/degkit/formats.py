@@ -166,8 +166,6 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
             return make_dce(graph, k, r, full, op)
         if header[1] == "dsc":
             prop = _parse_property(header[5:], header_line)
-            if lists:
-                raise ParseError("dsc instances carry no degree lists", header_line)
             if cap is not None and cap < graph.max_degree():
                 raise ParseError(
                     f"degree cap {cap} below the maximum degree {graph.max_degree()}",
@@ -223,23 +221,24 @@ def serialize_solution(sol: EditSolution | None) -> str:
 
 
 def parse_solution(text: str) -> EditSolution | None:
+    """Parse a solution; ParseError names the line as numbered in text."""
     lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.startswith("c")
+        (line_no, line.strip())
+        for line_no, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.strip().startswith("c")
     ]
     if not lines:
         raise ParseError("empty solution")
-    head = lines[0].split()
+    head_line, head = lines[0][0], lines[0][1].split()
     if head[0] == "NO":
         return None
     if head[0] != "YES" or len(head) != 2:
-        raise ParseError("solution must start with YES <count> or NO", 1)
-    count = _int(head[1], 1)
+        raise ParseError("solution must start with YES <count> or NO", head_line)
+    count = _int(head[1], head_line)
     if count != len(lines) - 1:
-        raise ParseError(f"expected {count} edits, found {len(lines) - 1}", 1)
+        raise ParseError(f"expected {count} edits, found {len(lines) - 1}", head_line)
     edits: list[tuple] = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines[1:]:
         tokens = line.split()
         if tokens[0] == "rm" and len(tokens) == 2:
             edits.append(("rm", _int(tokens[1], line_no) - 1))

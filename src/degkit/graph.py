@@ -125,11 +125,14 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     """Return (G[vs], old_of_new) where old_of_new[i] is vertex i's original index.
 
     The kept vertices are renumbered 0..|vs|-1 in increasing original order.
+    A Graph is immutable, so keeping every vertex returns g itself.
     """
     keep = sorted(set(vertices))
     for v in keep:
         if not (0 <= v < g.vertex_count):
             raise InvalidInputError(f"vertex {v} out of range for n={g.vertex_count}")
+    if len(keep) == g.vertex_count:
+        return g, tuple(keep)
     new_of_old = {old: new for new, old in enumerate(keep)}
     edges = []
     for old_u in keep:

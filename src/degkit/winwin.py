@@ -16,6 +16,7 @@ from .dce import (
     EditSolution,
     Kernel,
     TrivialNo,
+    additions,
     kernelize_kr,
     require_edge_addition,
     validate_solution,
@@ -98,7 +99,7 @@ def try_large_solution(inst: DceInstance) -> EditSolution | None:
             f"only {len(affected)} affected vertices at total {2 * k_prime}"
         )
     edges = realize_large(g, demand, k_prime)
-    solution = EditSolution(tuple(("add", u, v) for u, v in sorted(edges)))
+    solution = additions(edges)
     validate_solution(inst, solution)
     return solution
 

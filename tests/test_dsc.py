@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degkit import dsc
-from degkit.dce import EditSolution
+from degkit.dce import EditSolution, additions
 from degkit.dsc import (
     DscInstance,
     anonymity_fulfills,
@@ -115,11 +115,6 @@ class TestNscDecide:
         x = pi_nsc_decide(prop, [1, 1, 0], 2, 2)
         assert x == [1, 1, 0]
 
-    def test_generic_fallback_guard(self):
-        prop = balanced_property(1)
-        with pytest.raises(ResourceLimitError):
-            pi_nsc_decide(prop, [0] * 12, 24, 6, enum_limit=50)
-
     def test_matches_bruteforce_generic_and_bespoke(self):
         rng = random.Random(808)
         props = [regular_property(), anonymity_property(2), h_index_property(2)]
@@ -132,6 +127,49 @@ class TestNscDecide:
             got = pi_nsc_decide(prop, degrees, target, delta)
             expect = brute_nsc(prop.fulfills, degrees, target, delta)
             assert (got is None) == (expect is None)
+
+
+# Every built-in property, with the parameters small inputs can meet.
+_PROPERTIES = st.one_of(
+    st.just(regular_property()),
+    st.integers(1, 3).map(anonymity_property),
+    st.integers(0, 3).map(h_index_property),
+    st.integers(1, 3).map(balanced_property),
+)
+
+
+@st.composite
+def _numeric_case(draw):
+    """Degrees up to one above the cap, which every solver must refuse, and
+    odd and even targets."""
+    delta = draw(st.integers(0, 4))
+    degrees = draw(st.lists(st.integers(0, delta + 1), max_size=6))
+    return draw(_PROPERTIES), degrees, draw(st.integers(0, 9)), delta
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_numeric_case())
+@example((balanced_property(2), [3, 1, 1, 0], 3, 3))
+@example((h_index_property(3), [2, 2, 2], 3, 3))
+@example((h_index_property(2), [3, 0], 2, 2))
+def test_numeric_solvers_match_bruteforce(case):
+    prop, degrees, target, delta = case
+    got = pi_nsc_decide(prop, degrees, target, delta)
+    expect = brute_nsc(prop.fulfills, degrees, target, delta)
+    assert (got is None) == (expect is None), (prop.name, degrees, target, delta)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_numeric_case(), st.integers(0, 3), st.integers(1, 2))
+def test_numeric_solvers_find_the_first_total(case, start, step):
+    # One solver call answers a whole range: the first total with a witness.
+    prop, degrees, stop, delta = case
+    totals = range(start, stop + 1, step)
+    found = prop.nsc_solver(degrees, totals, delta)
+    expect = next(
+        (t for t in totals if brute_nsc(prop.fulfills, degrees, t, delta) is not None), None
+    )
+    assert (None if found is None else found[0]) == expect, (prop.name, degrees, totals, delta)
 
 
 class TestBoundK:
@@ -301,10 +339,49 @@ def test_regular_matches_bruteforce(case):
 
 
 @st.composite
+def _small_hindex_balanced(draw):
+    """Small graphs with caps of 0 to 2 above the maximum degree; budgets
+    fall on both sides of the large-branch threshold delta'(delta' + 1)^2
+    when delta' is 0 or 1."""
+    n = draw(st.integers(0, 6))
+    edges = [e for e in all_pairs(n) if draw(st.integers(0, 3)) == 0]
+    g = Graph(n, edges)
+    prop = draw(
+        st.one_of(
+            st.integers(0, 3).map(h_index_property),
+            st.integers(1, 3).map(balanced_property),
+        )
+    )
+    return g, draw(st.integers(0, 5)), g.max_degree() + draw(st.integers(0, 2)), prop
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_small_hindex_balanced())
+@example((Graph(6), 5, 1, h_index_property(1)))
+@example((Graph(6), 5, 1, balanced_property(3)))
+@example((Graph(4, [(0, 1)]), 2, 2, h_index_property(2)))
+@example((Graph(3), 5, 0, balanced_property(3)))
+def test_hindex_balanced_match_bruteforce(case):
+    g, k, delta, prop = case
+    got = dsc_solve(DscInstance(g, k, prop, delta))
+    expect = brute_dsc(g, k, prop.fulfills, delta)
+    assert (got is None) == (expect is None), (list(g.edges()), k, delta, prop.name)
+    if got is not None:
+        final = add_edges(g, got)
+        assert len(got) <= k
+        assert final.max_degree() <= delta
+        assert prop.fulfills(degree_sequence(final))
+
+
+@st.composite
 def _small_dsc(draw):
     n = draw(st.integers(1, 7))
     edges = [e for e in all_pairs(n) if draw(st.integers(0, 2)) == 0]
-    prop = draw(st.sampled_from([regular_property(), anonymity_property(2)]))
+    prop = draw(
+        st.sampled_from(
+            [regular_property(), anonymity_property(2), h_index_property(2), balanced_property(2)]
+        )
+    )
     return Graph(n, edges), draw(st.integers(0, 3)), prop
 
 
@@ -474,6 +551,27 @@ class TestBuiltins:
     def test_balanced_requires_positive(self):
         with pytest.raises(InvalidInputError):
             balanced_property(0)
+
+    @pytest.mark.parametrize(
+        "inst, size",
+        [
+            (DscInstance(Graph(40), 19, h_index_property(1), 2), 18),
+            (DscInstance(Graph(30), 19, h_index_property(2), 2), 18),
+            (DscInstance(Graph(40), 19, balanced_property(40), 2), 0),
+            (DscInstance(Graph(1000), 500, balanced_property(1)), None),
+        ],
+        ids=["hindex-1", "hindex-2", "balanced-40", "balanced-1-n1000"],
+    )
+    def test_decided_by_the_numeric_solver(self, inst, size):
+        # Budgets above the threshold 18 of delta' = 2 take the large branch
+        # with the first witness at total 36, which realizes 18 additions;
+        # 40 isolated vertices are already balanced; 1000 distinct degrees
+        # cannot fit under the cap 500, which the numeric NO finds without
+        # enumerating.
+        edges = dsc_solve(inst)
+        assert (None if edges is None else len(edges)) == size
+        if edges is not None:
+            validate_completion(inst, additions(edges))
 
     def test_h_index_dsc_end_to_end(self):
         # One edge plus two isolated vertices; h-index 2 needs two additions

@@ -258,3 +258,21 @@ class TestSolutions:
     def test_count_mismatch(self):
         with pytest.raises(ParseError):
             parse_solution("YES 2\nadd 1 2\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("c hi\n\nYES 1\nadd 1\n", 4),
+            ("c a\nc b\nMAYBE\n", 3),
+            ("\nYES x\n", 2),
+            ("c a\nYES 2\n\nadd 1 2\n", 2),
+        ],
+    )
+    def test_error_lines_count_comments_and_blanks(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_solution(text)
+        assert err.value.line == line
+
+    def test_indented_comment(self):
+        assert parse_solution("  c x\nNO\n") is None
+        assert parse_solution("YES 1\n\tc x\nadd 1 2\n") == EditSolution((("add", 0, 1),))

@@ -96,6 +96,7 @@ class TestInducedSubgraph:
         g = path3()
         sub, old = induced_subgraph(g, range(3))
         assert sub == g
+        assert sub is g
         assert old == (0, 1, 2)
 
     def test_star_leaves(self):
