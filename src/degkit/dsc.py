@@ -112,21 +112,18 @@ def dsc_fpt_solve(inst: DscInstance, *, enum_limit: int = DEFAULT_ENUM_LIMIT) ->
     g = inst.graph
     core = sorted(block_set(g, inst.k))
     if len(core) > CORE_CAP:
-        raise ResourceLimitError(
-            f"block-set has {len(core)} vertices, above the cap {CORE_CAP}"
-        )
+        raise ResourceLimitError(f"block-set has {len(core)} vertices, above the cap {CORE_CAP}")
     pairs = [
         (u, v) for i, u in enumerate(core) for v in core[i + 1:] if not g.has_edge(u, v)
     ]
     degrees = g.degrees()
     seen = 0
-    for size in range(inst.k + 1):
+    # No edge set is larger than the pairs it is drawn from.
+    for size in range(min(inst.k, len(pairs)) + 1):
         for combo in itertools.combinations(pairs, size):
             seen += 1
             if seen > enum_limit:
-                raise ResourceLimitError(
-                    f"candidate enumeration exceeded {enum_limit} edge sets"
-                )
+                raise ResourceLimitError(f"candidate enumeration exceeded {enum_limit} edge sets")
             final = completed_sequence(degrees, combo)
             if final and final[0] > inst.delta_prime:
                 continue
@@ -181,18 +178,9 @@ def dsc_bound_k(inst: DscInstance) -> set[Edge] | None:
     threshold = solution_threshold(inst.delta_prime)
     if inst.k <= threshold:
         raise InvalidInputError(f"budget {inst.k} not above the threshold {threshold}")
-    degrees = inst.graph.degrees()
-    found = _first_numeric_witness(inst.prop, degrees, threshold, inst.k, inst.delta_prime)
-    return None if found is None else realize_large(inst.graph, found[1], found[0])
-
-
-def _first_numeric_witness(
-    prop: PiProperty, degrees: Sequence[int], lo: int, hi: int, delta: int
-) -> tuple[int, list[int]] | None:
-    """The least s in lo..hi whose total 2s has a numeric witness under
-    delta, with that witness."""
-    found = _numeric_witness(prop, degrees, range(2 * lo, 2 * hi + 1, 2), delta)
-    return None if found is None else (found[0] // 2, found[1])
+    totals = range(2 * threshold, 2 * inst.k + 1, 2)
+    found = _numeric_witness(inst.prop, inst.graph.degrees(), totals, inst.delta_prime)
+    return None if found is None else realize_large(inst.graph, found[1], found[0] // 2)
 
 
 def validate_completion(inst: DscInstance, sol: EditSolution) -> None:
@@ -240,8 +228,8 @@ def _search_completion(inst: DscInstance, enum_limit: int) -> set[Edge] | None:
     work_k = min(inst.k, threshold)
     # s edge additions under the cap raise the degrees by increments of
     # total 2s, so without any such numeric witness the answer is NO.
-    degrees = inst.graph.degrees()
-    if _first_numeric_witness(inst.prop, degrees, 0, work_k, inst.delta_prime) is None:
+    totals = range(0, 2 * work_k + 1, 2)
+    if _numeric_witness(inst.prop, inst.graph.degrees(), totals, inst.delta_prime) is None:
         return None
     work = DscInstance(inst.graph, work_k, inst.prop, inst.delta_prime)
     return dsc_fpt_solve(work, enum_limit=enum_limit)
@@ -356,23 +344,17 @@ def _runs_nsc(
     Targets may be assumed nonincreasing along the nonincreasingly sorted
     input (a swap argument reorders any witness), so a witness assigns
     consecutive runs of sorted positions onto shared targets. One table
-    serves every total of the range: filled bottom-up, bit s of
+    serves every total up to its width: filled bottom-up, bit s of
     reach[i][c + 1] says that positions i.. can rise by s in total with
     every target at most c. Column 0 stands for c = -1, which only the
-    empty suffix meets.
+    empty suffix meets. The width doubles until a witness appears, so a
+    witness at a small total costs a small table however wide the range.
     """
     n = len(degrees)
     if n == 0:
         return (0, []) if 0 in totals else None
     order = sorted(range(n), key=lambda i: degrees[i], reverse=True)
     d = [degrees[i] for i in order]
-    if not totals or totals[-1] < 0 or delta < d[0]:
-        return None
-    # No total above the room below the cap is reachable, and no position
-    # rises above d[0] + widest, so the table stops there however large the
-    # cap is.
-    widest = min(totals[-1], sum(delta - value for value in d))
-    top = min(delta, d[0] + widest)
     prefix = list(itertools.accumulate(d, initial=0))
     # Run ends j for a run starting at i; the rest must be empty or a run.
     ends = [
@@ -383,61 +365,79 @@ def _runs_nsc(
     # The rest of a run with target t looks up its column for cap t, or
     # t - 1 when strict.
     lag = 1 if strict else 0
+    # The least cap under which positions i.. split into runs at all, at
+    # any total: with none under delta, no width of the table helps.
+    least = [delta + 1] * n + [-1]
+    for i in range(n - 1, -1, -1):
+        least[i] = min((max(d[i], least[j] + lag) for j in ends[i]), default=delta + 1)
+    totals = totals[bisect_left(totals, 0):]
+    if not totals or least[0] > delta:
+        return None
+    # When the top target of a witness reaches d[0] + runs * step, one of
+    # the `runs` bands of step values from d[0] up holds none of the other
+    # runs' targets; lowering every target above it by step keeps a witness of
+    # the same residue, step * m lower for some m in 1..n. So the first
+    # witness is at most `settled`, and none is above the room under the cap.
+    step, runs = totals.step, n // shortest
+    settled = max(n * (d[0] + runs * step - 1) - sum(d), totals[0] + step * n - 1)
+    limit = min(totals[-1], sum(delta - value for value in d), settled)
 
     def cost(i: int, j: int, t: int) -> int:
         return (j - i) * t - (prefix[j] - prefix[i])
 
-    mask = (1 << (widest + 1)) - 1
-    reach = [[0] * (top + 2) for _ in range(n)] + [[1] * (top + 2)]
-    for i in range(n - 1, -1, -1):
-        row = reach[i]
-        acc = 0
-        for t in range(d[i], top + 1):
-            for j in ends[i]:
-                c = cost(i, j, t)
-                if c > widest:  # longer runs cost more
-                    break
-                acc |= reach[j][t + 1 - lag] << c
-            acc &= mask
-            row[t + 1] = acc
-    reached = reach[0][top + 1]
-    candidates = totals[bisect_left(totals, 0):bisect_right(totals, widest)]
-    total = next((s for s in candidates if reached >> s & 1), None)
-    if total is None:
-        return None
+    def first_witness(widest: int) -> NumericWitness | None:
+        # No target exceeds d[0] + widest, however large the cap is.
+        top = min(delta, d[0] + widest)
+        mask = (1 << (widest + 1)) - 1
+        reach = [[0] * (top + 2) for _ in range(n)] + [[1] * (top + 2)]
+        for i in range(n - 1, -1, -1):
+            row = reach[i]
+            acc = 0
+            # A target above d[i] + widest costs more than widest, so the
+            # columns from there up repeat the last one.
+            last = min(top, d[i] + widest)
+            for t in range(d[i], last + 1):
+                for j in ends[i]:
+                    c = cost(i, j, t)
+                    if c > widest:  # longer runs cost more
+                        break
+                    acc |= reach[j][t + 1 - lag] << c
+                acc &= mask
+                row[t + 1] = acc
+            row[last + 2:] = [acc] * (top - last)
+        reached = reach[0][top + 1]
+        fits = totals[:bisect_right(totals, widest)]
+        total = next((s for s in fits if reached >> s & 1), None)
+        if total is None:
+            return None
 
-    x = [0] * n
-    i, left, cap = 0, total, top
-    while i < n:
-        step = next(
-            (
-                (j, t)
-                for t in range(d[i], cap + 1)
-                for j in ends[i]
-                if cost(i, j, t) <= left
-                and reach[j][t + 1 - lag] >> (left - cost(i, j, t)) & 1
-            ),
-            None,
-        )
-        if step is None:
-            raise InternalInvariantError("run table disagrees with traceback")
-        j, t = step
-        for pos in range(i, j):
-            x[order[pos]] = t - d[pos]
-        i, left, cap = j, left - cost(i, j, t), t - lag
-    return total, x
+        x = [0] * n
+        i, left, cap = 0, total, top
+        while i < n:
+            run = next(((j, t) for t in range(d[i], cap + 1) for j in ends[i]
+                        if cost(i, j, t) <= left
+                        and reach[j][t + 1 - lag] >> (left - cost(i, j, t)) & 1), None)
+            if run is None:
+                raise InternalInvariantError("run table disagrees with traceback")
+            j, t = run
+            for pos in range(i, j):
+                x[order[pos]] = t - d[pos]
+            i, left, cap = j, left - cost(i, j, t), t - lag
+        return total, x
+
+    widest = min(totals[0], limit)
+    while True:
+        found = first_witness(widest)
+        if found is not None or widest >= limit:
+            return found
+        widest = min(2 * widest + 1, limit)
 
 
-def anonymity_nsc(
-    degrees: Sequence[int], k_anon: int, target: int, delta: int
-) -> list[int] | None:
+def anonymity_nsc(degrees: Sequence[int], k_anon: int, target: int, delta: int) -> list[int] | None:
     """Increments of total target under delta making the degrees
     k_anon-anonymous, or None. A run of 2*k_anon or more sorted positions
     splits into two runs on one target, so shorter runs suffice."""
-    found = _numeric_witness(
-        anonymity_property(k_anon), degrees, range(target, target + 1), delta
-    )
-    return None if found is None else found[1]
+    return pi_nsc_decide(anonymity_property(k_anon), degrees, target, delta)
 
 
 def anonymity_property(k_anon: int) -> PiProperty:
