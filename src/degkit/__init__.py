@@ -11,7 +11,7 @@ instance transformers, and a DIMACS-flavored file format with a CLI.
 from .graph import Graph, add_edges, complement, degree_sequence, induced_subgraph, remove_edges
 from .matching import max_matching
 from .factors import f_factor, kt_condition_holds
-from .nce import NceInstance, make_nce, nce_decide, nce_decide_all_targets, nce_traceback
+from .nce import NceInstance, make_nce, nce_decide_all_targets, nce_traceback
 from .dce import (
     DceInstance,
     DegreeListFunction,
@@ -21,10 +21,8 @@ from .dce import (
     TrivialNo,
     brute_force_solve,
     core_set,
-    is_valid_solution,
     kernelize_kr,
     make_dce,
-    make_tau,
     rule2_check,
     safely_remove,
     solve_e_plus,
@@ -33,7 +31,6 @@ from .dce import (
     vertex_types,
 )
 from .winwin import (
-    KernelResult,
     TrivialYes,
     kernelize_r,
     realize_demands,
@@ -43,8 +40,6 @@ from .winwin import (
 from .dsc import (
     DscInstance,
     PiProperty,
-    anonymity_fulfills,
-    anonymity_nsc,
     anonymity_property,
     anonymize,
     balanced_property,

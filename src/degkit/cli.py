@@ -13,9 +13,17 @@ import sys
 import time
 from pathlib import Path
 
-from .dce import DceInstance, EditSolution, TrivialNo, kernelize_kr, make_dce, validate_solution
+from .dce import (
+    DceInstance,
+    EditSolution,
+    TrivialNo,
+    kernelize_kr,
+    make_dce,
+    recheck,
+    validate_solution,
+)
 from .dsc import DscInstance, anonymity_property, solve, validate_completion
-from .errors import DegkitError, InternalInvariantError, InvalidInputError, ResourceLimitError
+from .errors import DegkitError, InvalidInputError, ResourceLimitError
 from .factors import f_factor
 from .formats import parse_instance, serialize_instance, serialize_solution
 from .generators import REDUCTION_KINDS, gen_cubic, gen_from_reduction, gen_random_dce
@@ -43,27 +51,15 @@ def _load(path: str | Path) -> DceInstance | DscInstance:
     return parse_instance(Path(path).read_text())
 
 
-class _UsageError(Exception):
-    """An option that the loaded instance gives no meaning to."""
-
-
 def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
-
-
-def _verify(inst: DceInstance | DscInstance, sol: EditSolution) -> None:
-    """Re-check a YES witness on the input; a witness that fails is a defect."""
-    check = validate_solution if isinstance(inst, DceInstance) else validate_completion
-    try:
-        check(inst, sol)
-    except InvalidInputError as exc:
-        raise InternalInvariantError(f"witness failed verification: {exc}") from exc
 
 
 def _emit_solution(inst: DceInstance | DscInstance, sol: EditSolution | None, args) -> None:
     text = serialize_solution(sol)
     if sol is not None and args.verify:
-        _verify(inst, sol)
+        check = validate_solution if isinstance(inst, DceInstance) else validate_completion
+        recheck(check, inst, sol, "witness failed verification")
         text += "c verified\n"
     _emit(text, args.output)
 
@@ -76,12 +72,6 @@ def _kernelize(inst: DceInstance | DscInstance, param: str):
 
 def _cmd_solve(args) -> int:
     inst = _load(args.instance)
-    if args.delta_prime is not None:
-        if not isinstance(inst, DscInstance):
-            raise _UsageError(
-                "argument --delta-prime: an edge-editing instance has no degree cap"
-            )
-        inst = DscInstance(inst.graph, inst.k, inst.prop, args.delta_prime)
     _emit_solution(inst, solve(inst, args.limit), args)
     return 0
 
@@ -231,12 +221,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", parents=[output, verify], help="decide an instance")
     p.add_argument("instance")
     p.add_argument("--limit", type=int, default=None, help="search node budget")
-    p.add_argument(
-        "--delta-prime",
-        type=int,
-        default=None,
-        help="degree cap of a dsc instance (default: its d line, else max degree + k)",
-    )
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("kernelize", parents=[output], help="shrink an instance")
@@ -291,12 +275,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        parser.error(str(exc))
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,8 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from typing import Any
 
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from .graph import Edge, Graph, induced_subgraph, normalize_edge
@@ -45,10 +46,6 @@ class DegreeListFunction:
         return self.lists[v]
 
 
-def make_tau(r: int, lists: Sequence[Iterable[int]]) -> DegreeListFunction:
-    return DegreeListFunction(r, tuple(frozenset(s) for s in lists))
-
-
 @dataclass(frozen=True)
 class DceInstance:
     graph: Graph
@@ -74,7 +71,8 @@ def make_dce(
     lists: Sequence[Iterable[int]],
     op_kind: EditKind = EditKind.EDGE_ADDITION,
 ) -> DceInstance:
-    return DceInstance(graph, k, make_tau(r, lists), op_kind)
+    tau = DegreeListFunction(r, tuple(frozenset(s) for s in lists))
+    return DceInstance(graph, k, tau, op_kind)
 
 
 # An edit is ("add", u, v), ("del", u, v) with u < v, or ("rm", v).
@@ -116,7 +114,7 @@ def validate_solution(inst: DceInstance, sol: EditSolution) -> None:
         EditKind.EDGE_DELETION: "del",
         EditKind.VERTEX_DELETION: "rm",
     }[inst.op_kind]
-    seen: set[Edit] = set()
+    seen: set[Edge] = set()
     degs = list(g.degrees())
     removed: set[int] = set()
     for edit in sol.edits:
@@ -126,17 +124,18 @@ def validate_solution(inst: DceInstance, sol: EditSolution) -> None:
             v = edit[1]
             if not (0 <= v < n):
                 raise InvalidInputError(f"vertex {v} out of range")
-            if ("rm", v) in seen:
+            if v in removed:
                 raise InvalidInputError(f"vertex {v} deleted twice")
-            seen.add(("rm", v))
             removed.add(v)
+            for w in g.adj[v]:
+                degs[w] -= 1
         else:
             e = normalize_edge(edit[1], edit[2])
             if not (0 <= e[0] and e[1] < n):
                 raise InvalidInputError(f"edge {e} out of range")
-            if (edit[0],) + e in seen:
+            if e in seen:
                 raise InvalidInputError(f"duplicate edit on edge {e}")
-            seen.add((edit[0],) + e)
+            seen.add(e)
             present = g.has_edge(*e)
             if edit[0] == "add" and present:
                 raise InvalidInputError(f"edge {e} already present")
@@ -145,25 +144,21 @@ def validate_solution(inst: DceInstance, sol: EditSolution) -> None:
             delta = 1 if edit[0] == "add" else -1
             degs[e[0]] += delta
             degs[e[1]] += delta
-    if removed:
-        for v in range(n):
-            if v in removed:
-                continue
-            final = sum(1 for w in g.adj[v] if w not in removed)
-            if final not in tau[v]:
-                raise InvalidInputError(f"vertex {v} ends at degree {final} off its list")
-    else:
-        for v in range(n):
-            if degs[v] not in tau[v]:
-                raise InvalidInputError(f"vertex {v} ends at degree {degs[v]} off its list")
+    for v in range(n):
+        if v not in removed and degs[v] not in tau[v]:
+            raise InvalidInputError(f"vertex {v} ends at degree {degs[v]} off its list")
 
 
-def is_valid_solution(inst: DceInstance, sol: EditSolution) -> bool:
+def recheck(
+    check: Callable[[Any, EditSolution], None], inst: Any, sol: EditSolution, what: str
+) -> EditSolution:
+    """Run a validator such as validate_solution on an answer of degkit's own:
+    its failure is a defect, not bad input, so it raises InternalInvariantError."""
     try:
-        validate_solution(inst, sol)
-    except InvalidInputError:
-        return False
-    return True
+        check(inst, sol)
+    except InvalidInputError as exc:
+        raise InternalInvariantError(f"{what}: {exc}") from exc
+    return sol
 
 
 # -- notation helpers --------------------------------------------------------
@@ -435,20 +430,7 @@ def brute_force_solve(
             return None
         tag = "add" if adding else "del"
         sol = EditSolution(tuple((tag, u, v) for u, v in edges))
-    validate_solution(inst, sol)
-    return sol
-
-
-def lift_solution(sol: EditSolution, old_of_new: tuple[int, ...]) -> EditSolution:
-    """Rename a reduced-instance solution back to original vertex indices."""
-    lifted = []
-    for edit in sol.edits:
-        if edit[0] == "rm":
-            lifted.append(("rm", old_of_new[edit[1]]))
-        else:
-            u, v = old_of_new[edit[1]], old_of_new[edit[2]]
-            lifted.append((edit[0],) + normalize_edge(u, v))
-    return EditSolution(tuple(lifted))
+    return recheck(validate_solution, inst, sol, "search answer fails validation")
 
 
 def solve_e_plus(
@@ -471,9 +453,7 @@ def solve_e_plus(
     inner = brute_force_solve(kernel, node_limit)
     if inner is None:
         return None
-    lifted = lift_solution(inner, reduced.old_of_new)
-    try:
-        validate_solution(inst, lifted)
-    except InvalidInputError as exc:
-        raise InternalInvariantError(f"kernel solution does not lift: {exc}") from exc
-    return lifted
+    # old_of_new increases, so renamed edges keep u < v.
+    old = reduced.old_of_new
+    lifted = additions((old[u], old[v]) for _, u, v in inner.edits)
+    return recheck(validate_solution, inst, lifted, "kernel solution does not lift")

@@ -16,7 +16,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 
-from .dce import DceInstance, EditKind, EditSolution, additions, brute_force_solve, solve_e_plus
+from .dce import (
+    DceInstance,
+    EditKind,
+    EditSolution,
+    additions,
+    brute_force_solve,
+    recheck,
+    solve_e_plus,
+)
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from .graph import Edge, Graph, add_edges, degree_sequence
 from .winwin import realize_demands, realize_large, solution_threshold
@@ -55,8 +63,9 @@ class PiProperty:
 @dataclass(frozen=True)
 class DscInstance:
     """At most k edge additions making the degree sequence fulfill prop,
-    with no degree above delta_prime. Left out, delta_prime is max degree
-    + k, which k additions never exceed, so it restricts nothing."""
+    with no degree above delta_prime. Left out, as in a file without a
+    `d` line, delta_prime is max degree + k, which k additions never
+    exceed, so it restricts nothing."""
 
     graph: Graph
     k: int
@@ -212,10 +221,7 @@ def dsc_solve(inst: DscInstance, *, enum_limit: int = DEFAULT_ENUM_LIMIT) -> set
     else:
         edges = _search_completion(inst, enum_limit)
     if edges is not None:
-        try:
-            validate_completion(inst, additions(edges))
-        except InvalidInputError as exc:
-            raise InternalInvariantError(f"completion fails re-validation: {exc}") from exc
+        recheck(validate_completion, inst, additions(edges), "completion fails re-validation")
     return edges
 
 
@@ -266,15 +272,13 @@ def regular_property() -> PiProperty:
         return None
 
     def realize(g: Graph, k: int, delta: int) -> set[Edge] | None:
-        degrees = g.degrees()
-        n, total = len(degrees), sum(degrees)
-        c = max(degrees, default=0)
-        while c <= delta and n * c - total <= 2 * k:
-            if (n * c - total) % 2 == 0:
-                edges = realize_demands(g, [c - d for d in degrees])
-                if edges is not None:
-                    return edges
-            c += 1
+        # Successive nsc witnesses are the common degrees c, least first.
+        start = 0
+        while (found := nsc(g.degrees(), range(start, 2 * k + 1, 2), delta)) is not None:
+            edges = realize_demands(g, found[1])
+            if edges is not None:
+                return edges
+            start = found[0] + 2
         return None
 
     return PiProperty("regular", fulfills, nsc, realize)
@@ -325,13 +329,6 @@ def balanced_property(ell: int) -> PiProperty:
         return _runs_nsc(degrees, ell, ell, True, totals, delta)
 
     return PiProperty(f"balanced-{ell}", fulfills, nsc)
-
-
-def anonymity_fulfills(t: Sequence[int], k_anon: int) -> bool:
-    """Every occurring degree occurs at least k_anon times."""
-    if k_anon < 1:
-        raise InvalidInputError("anonymity level must be positive")
-    return all(c >= k_anon for c in Counter(t).values())
 
 
 def _runs_nsc(
@@ -433,21 +430,17 @@ def _runs_nsc(
         widest = min(2 * widest + 1, limit)
 
 
-def anonymity_nsc(degrees: Sequence[int], k_anon: int, target: int, delta: int) -> list[int] | None:
-    """Increments of total target under delta making the degrees
-    k_anon-anonymous, or None. A run of 2*k_anon or more sorted positions
-    splits into two runs on one target, so shorter runs suffice."""
-    return pi_nsc_decide(anonymity_property(k_anon), degrees, target, delta)
-
-
 def anonymity_property(k_anon: int) -> PiProperty:
+    """Every occurring degree occurs at least k_anon times."""
     if k_anon < 1:
         raise InvalidInputError("anonymity level must be positive")
 
     def fulfills(t: tuple[int, ...]) -> bool:
-        return anonymity_fulfills(t, k_anon)
+        return all(c >= k_anon for c in Counter(t).values())
 
     def nsc(degrees: Sequence[int], totals: range, delta: int) -> NumericWitness | None:
+        # A run of 2*k_anon or more sorted positions splits into two runs on
+        # one target, so shorter runs suffice.
         return _runs_nsc(degrees, k_anon, 2 * k_anon - 1, False, totals, delta)
 
     return PiProperty(f"anon-{k_anon}", fulfills, nsc)

@@ -72,7 +72,7 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
     edges: list[tuple[int, int]] = []
     edge_seen: set[tuple[int, int]] = set()
     lists: dict[int, list[int]] = {}
-    n = m = 0
+    n = m = r = 0
     cap: int | None = None
     cap_line = 0
 
@@ -91,6 +91,8 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
                 raise ParseError("dce header needs n m k r", line_no)
             header, header_line = tokens, line_no
             n, m = _int(tokens[2], line_no), _int(tokens[3], line_no)
+            if tokens[1] == "dce":
+                r = _int(tokens[5], line_no)
             if n < 0 or m < 0:
                 raise ParseError("n and m must be nonnegative", line_no)
             if n > MAX_VERTICES:
@@ -122,7 +124,6 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
                 raise ParseError(f"vertex out of range 1..{n}", line_no)
             if v - 1 in lists:
                 raise ParseError(f"duplicate degree list for vertex {v}", line_no)
-            r = _int(header[5], header_line)
             values = [_int(tok, line_no) for tok in tokens[2:]]
             for d in values:
                 if d < 0 or d > r:
@@ -154,7 +155,6 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
     # property parameter out of range) are malformed input too.
     try:
         if header[1] == "dce":
-            r = _int(header[5], header_line)
             op = EditKind.EDGE_ADDITION
             if len(header) >= 7:
                 if header[6] not in _OP_TOKENS:
@@ -179,12 +179,11 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
 
 def _property_spec(prop: PiProperty) -> str:
     name, _, param = prop.name.partition("-")
-    token = {"anon": "anon", "hindex": "hindex", "balanced": "balanced"}.get(name)
     if name == "regular":
         return "regular"
-    if token is None:
+    if name not in ("anon", "hindex", "balanced"):
         raise ParseError(f"property {prop.name!r} has no file syntax")
-    return f"{token} {param}"
+    return f"{name} {param}"
 
 
 def serialize_instance(inst: DceInstance | DscInstance) -> str:

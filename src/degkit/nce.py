@@ -111,10 +111,6 @@ def nce_decide_all_targets(
     return [bool(last >> j & 1) for j in range(k_max + 1)]
 
 
-def nce_decide(inst: NceInstance) -> bool:
-    return nce_decide_all_targets(inst.degrees, inst.k, inst.r, inst.phi)[inst.k]
-
-
 def nce_traceback(inst: NceInstance) -> tuple[int, ...] | None:
     """One witness vector of final degrees, or None.
 

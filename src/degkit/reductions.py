@@ -91,7 +91,7 @@ def _selector_shape(num_classes: int) -> tuple[int, int]:
 
 def _clique_preamble(
     g: Graph, h: int, x: set[int] | None
-) -> tuple[set[int], list[int | None], int, int] | None:
+) -> tuple[set[int], list[int | None], int] | None:
     if h < 1:
         raise InvalidInputError("clique size must be positive")
     if any(g.degree(v) < h for v in range(g.vertex_count)):
@@ -106,7 +106,7 @@ def _clique_preamble(
     height, leaves = _selector_shape(len(reps))
     while len(reps) < leaves:
         reps.append(reps[0])
-    return cover, reps, height, leaves
+    return cover, reps, height
 
 
 def _canonical_no(op_kind: EditKind) -> ReductionOutput:
@@ -177,7 +177,7 @@ def clique_to_dce_eminus(g: Graph, h: int, x: set[int] | None = None) -> Reducti
     pre = _clique_preamble(g, h, x)
     if pre is None:
         return _canonical_no(EditKind.EDGE_DELETION)
-    cover, reps, height, _ = pre
+    cover, reps, height = pre
 
     b = _Builder()
     copies = _build_copies(b, g, cover, reps)
@@ -224,7 +224,7 @@ def clique_to_dce_vminus(g: Graph, h: int, x: set[int] | None = None) -> Reducti
     pre = _clique_preamble(g, h, x)
     if pre is None:
         return _canonical_no(EditKind.VERTEX_DELETION)
-    cover, reps, height, _ = pre
+    cover, reps, height = pre
     cover_size = len(cover)
 
     b = _Builder()

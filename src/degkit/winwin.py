@@ -18,6 +18,7 @@ from .dce import (
     TrivialNo,
     additions,
     kernelize_kr,
+    recheck,
     require_edge_addition,
     validate_solution,
 )
@@ -30,9 +31,6 @@ from .nce import least_even_total
 @dataclass(frozen=True)
 class TrivialYes:
     witness: EditSolution
-
-
-KernelResult = TrivialYes | TrivialNo | Kernel
 
 
 def solution_threshold(r: int) -> int:
@@ -98,13 +96,11 @@ def try_large_solution(inst: DceInstance) -> EditSolution | None:
         raise InternalInvariantError(
             f"only {len(affected)} affected vertices at total {2 * k_prime}"
         )
-    edges = realize_large(g, demand, k_prime)
-    solution = additions(edges)
-    validate_solution(inst, solution)
-    return solution
+    solution = additions(realize_large(g, demand, k_prime))
+    return recheck(validate_solution, inst, solution, "large solution fails validation")
 
 
-def kernelize_r(inst: DceInstance) -> KernelResult:
+def kernelize_r(inst: DceInstance) -> TrivialYes | TrivialNo | Kernel:
     """The r-only kernel pipeline.
 
     Above the threshold, first try to construct a large solution outright;

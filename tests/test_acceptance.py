@@ -15,13 +15,12 @@ from degkit.dce import (
     Kernel,
     TrivialNo,
     brute_force_solve,
-    is_valid_solution,
     kernelize_kr,
     make_dce,
+    validate_solution,
 )
 from degkit.dsc import (
     DscInstance,
-    anonymity_fulfills,
     anonymity_property,
     anonymize,
     dsc_fpt_solve,
@@ -31,7 +30,7 @@ from degkit.factors import f_factor, kt_condition_holds
 from degkit.formats import parse_instance, serialize_instance
 from degkit.generators import gen_cubic, gen_random_dce
 from degkit.graph import Graph, add_edges, degree_sequence
-from degkit.nce import make_nce, nce_decide, nce_traceback
+from degkit.nce import make_nce, nce_traceback
 from degkit.reductions import (
     approx_vertex_cover,
     clique_to_dce_eminus,
@@ -106,7 +105,6 @@ def test_criterion_2_nce_exactness():
         phi = [{x for x in range(r + 1) if rng.random() < 0.6} for _ in range(n)]
         inst = make_nce(degrees, k, r, phi)
         expect = brute_nce(degrees, k, phi)
-        assert nce_decide(inst) == expect
         witness = nce_traceback(inst)
         assert (witness is not None) == expect
         if witness is not None:
@@ -197,10 +195,10 @@ def test_criterion_5_win_win():
         edges = [(needy + decoys + 2 * i, needy + decoys + 2 * i + 1) for i in range(pairs)]
         lists = [{1}] * needy + [{0, 1}] * decoys + [{1}] * (2 * pairs)
         inst = make_dce(Graph(n, edges), k, 1, lists)
-        assert nce_decide(make_nce(inst.graph.degrees(), 2 * k, 1, lists))
+        assert nce_traceback(make_nce(inst.graph.degrees(), 2 * k, 1, lists)) is not None
         sol = try_large_solution(inst)
         assert sol is not None, f"trial {trial}: guaranteed witness missing"
-        assert is_valid_solution(inst, sol)
+        validate_solution(inst, sol)
         witnesses += 1
 
     bound_checked = 0
@@ -261,11 +259,11 @@ def test_criterion_7_anonymization():
         k_anon = rng.randrange(1, 4)
         s = rng.randrange(0, 4)
         got = anonymize(g, k_anon, s)
-        expect = brute_dsc(g, s, lambda t, ka=k_anon: anonymity_fulfills(t, ka))
+        expect = brute_dsc(g, s, anonymity_property(k_anon).fulfills)
         assert (got is None) == (expect is None)
         if got is not None:
             assert len(got) <= s
-            assert anonymity_fulfills(degree_sequence(add_edges(g, got)), k_anon)
+            assert anonymity_property(k_anon).fulfills(degree_sequence(add_edges(g, got)))
         checked += 1
     crit.finish(f"{checked} random cases plus the star minimum")
 

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior, including generators and the bench harness."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +37,7 @@ READS = {
     "bench": (),
 }
 SRC = str(Path(degkit.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write(tmp_path, name, text):
@@ -102,20 +105,13 @@ class TestSolveCommand:
         assert main(["solve", path, "--limit", "0"]) == 2
 
     def test_zero_delta_prime_is_honoured(self, tmp_path, capsys):
-        # Any added edge lifts a degree to 1, above delta' = 0.
+        # The d line caps degrees at 0, and any added edge lifts a degree to
+        # 1; without the line the cap is max degree + k = 1.
+        capped = write(tmp_path, "h1-capped.dsc", "p dsc 2 0 1 hindex 1\nd 0\n")
+        assert main(["solve", capped]) == 0
+        assert capsys.readouterr().out == "NO\n"
         path = write(tmp_path, "h1.dsc", "p dsc 2 0 1 hindex 1\n")
-        assert main(["solve", path, "--delta-prime", "0"]) == 0
-        assert capsys.readouterr().out == "NO\n"
         assert main(["solve", path]) == 0
-        assert capsys.readouterr().out.startswith("YES 1")
-
-    def test_degree_cap_line_is_the_default(self, tmp_path, capsys):
-        # The d line caps degrees at 0, so no edge may be added; the option
-        # still replaces it.
-        path = write(tmp_path, "h1.dsc", "p dsc 2 0 1 hindex 1\nd 0\n")
-        assert main(["solve", path]) == 0
-        assert capsys.readouterr().out == "NO\n"
-        assert main(["solve", path, "--delta-prime", "1"]) == 0
         assert capsys.readouterr().out.startswith("YES 1")
 
     def test_bad_witness_fails_verify_under_optimization(self, tmp_path):
@@ -297,16 +293,29 @@ def test_library_import_leaves_out_the_command_line():
     + [("bench", "--jobs=2"), ("solve", "--delta-prime=0")],
 )
 def test_options_a_command_does_not_read_are_rejected(cmd, flag, capsys, tmp_path, monkeypatch):
-    # x.dce exists for the one option that only the loaded instance refuses:
-    # an edge-editing instance has no degree cap.
+    # solve takes no degree cap: an instance's d line sets it.
     monkeypatch.chdir(tmp_path)
-    write(tmp_path, "x.dce", TRIPLE)
     build_parser().parse_args(VALID_ARGV[cmd])
     with pytest.raises(SystemExit) as err:
         main(VALID_ARGV[cmd] + [flag])
     assert err.value.code == 1
-    if flag == "--delta-prime=0":
-        expected = "argument --delta-prime: an edge-editing instance has no degree cap"
-    else:
-        expected = f"unrecognized arguments: {flag}"
-    assert expected in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_readme_command_line_block_matches_the_parser():
+    # Every flag the README's synopsis shows is accepted by its subcommand,
+    # and every option of every subcommand is shown in one of its spellings.
+    text = README.read_text().split("## Command line", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    shown: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        flags = re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", line)
+        shown.setdefault(line.split()[1], set()).update(flags)
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(shown) == set(sub.choices)
+    for cmd, parser in sub.choices.items():
+        accepted = set(parser._option_string_actions)
+        assert shown[cmd] <= accepted, (cmd, shown[cmd] - accepted)
+        for action in parser._actions:
+            if action.option_strings and action.dest != "help":
+                assert shown[cmd] & set(action.option_strings), (cmd, action.option_strings)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degkit import dce
 from degkit.dce import (
     EditKind,
     EditSolution,
@@ -13,7 +14,6 @@ from degkit.dce import (
     TrivialNo,
     brute_force_solve,
     core_set,
-    is_valid_solution,
     kernelize_kr,
     make_dce,
     rule2_check,
@@ -24,7 +24,7 @@ from degkit.dce import (
     vertex_types,
 )
 from degkit.dsc import solve
-from degkit.errors import InvalidInputError, ResourceLimitError
+from degkit.errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from degkit.graph import Graph
 
 from oracles import all_pairs, naive_dce_min_edits
@@ -269,7 +269,7 @@ class TestBruteForce:
         sol = brute_force_solve(inst)
         assert sol is not None
         assert len(sol.edits) == 2
-        assert is_valid_solution(inst, sol)
+        validate_solution(inst, sol)
 
     def test_edge_deletion(self):
         inst = make_dce(k3(), 3, 2, [{0}, {1}, {1}], EditKind.EDGE_DELETION)
@@ -306,7 +306,7 @@ class TestBruteForce:
             else:
                 assert sol is not None
                 assert len(sol.edits) == expect
-                assert is_valid_solution(inst, sol)
+                validate_solution(inst, sol)
 
 
 class TestSolveEPlus:
@@ -314,7 +314,7 @@ class TestSolveEPlus:
         inst = make_dce(Graph(100), 1, 1, [{0, 1}] * 100)
         sol = solve_e_plus(inst)
         assert sol is not None
-        assert is_valid_solution(inst, sol)
+        validate_solution(inst, sol)
 
     def test_rule2_no(self):
         inst = make_dce(k3(), 1, 2, [{0}, {0}, {0}])
@@ -333,7 +333,7 @@ class TestSolveEPlus:
             via_kernel = solve_e_plus(inst)
             assert (direct is None) == (via_kernel is None)
             if via_kernel is not None:
-                assert is_valid_solution(inst, via_kernel)
+                validate_solution(inst, via_kernel)
 
 
     def test_odd_total_is_numeric_no(self):
@@ -362,3 +362,59 @@ class TestValidation:
         inst = triple_instance()
         with pytest.raises(InvalidInputError):
             validate_solution(inst, EditSolution((("add", 0, 1),)))
+
+    @pytest.mark.parametrize(
+        "inst, edits, reason",
+        [
+            (triple_instance(), [("add", 0, 1), ("add", 1, 0)], "duplicate edit"),
+            (triple_instance(), [("add", 0, 3)], "out of range"),
+            (make_dce(Graph(3, [(0, 1)]), 3, 2, [{2}] * 3), [("add", 0, 1)], "already present"),
+            (
+                make_dce(Graph(3, [(0, 1)]), 1, 1, [{0, 1}] * 3, EditKind.EDGE_DELETION),
+                [("del", 1, 2)],
+                "not present",
+            ),
+            (
+                make_dce(k3(), 3, 0, [{0}] * 3, EditKind.VERTEX_DELETION),
+                [("rm", 1), ("rm", 1)],
+                "deleted twice",
+            ),
+            (
+                make_dce(k3(), 3, 0, [{0}] * 3, EditKind.VERTEX_DELETION),
+                [("rm", 3)],
+                "out of range",
+            ),
+            (
+                make_dce(k3(), 3, 0, [{0}] * 3, EditKind.VERTEX_DELETION),
+                [("rm", 0)],
+                "off its list",
+            ),
+        ],
+        ids=[
+            "repeated-edit", "add-out-of-range", "add-present", "delete-absent",
+            "remove-twice", "remove-out-of-range", "survivor-off-list",
+        ],
+    )
+    def test_rejects(self, inst, edits, reason):
+        with pytest.raises(InvalidInputError, match=reason):
+            validate_solution(inst, EditSolution(tuple(edits)))
+
+
+class TestWrongSearchAnswerIsADefect:
+    """A search answer that fails its re-check is a defect in degkit, never
+    bad input."""
+
+    def test_edge_addition(self, monkeypatch):
+        monkeypatch.setattr(dce, "_search_edges", lambda *args: [(0, 1)])
+        with pytest.raises(InternalInvariantError):
+            brute_force_solve(triple_instance())
+        with pytest.raises(InternalInvariantError):
+            solve(triple_instance())
+
+    def test_vertex_deletion(self, monkeypatch):
+        monkeypatch.setattr(dce, "_search_vertex_deletions", lambda *args: [0])
+        inst = make_dce(k3(), 2, 0, [{0}] * 3, EditKind.VERTEX_DELETION)
+        with pytest.raises(InternalInvariantError):
+            brute_force_solve(inst)
+        with pytest.raises(InternalInvariantError):
+            solve(inst)

@@ -11,8 +11,6 @@ from degkit import dsc
 from degkit.dce import EditSolution, additions
 from degkit.dsc import (
     DscInstance,
-    anonymity_fulfills,
-    anonymity_nsc,
     anonymity_property,
     anonymize,
     balanced_property,
@@ -420,30 +418,30 @@ class TestValidateCompletion:
 
 class TestAnonymity:
     def test_fulfills_examples(self):
-        assert not anonymity_fulfills((3, 1, 1, 1), 2)
-        assert anonymity_fulfills((3, 3, 2, 2), 2)
-        assert anonymity_fulfills((3, 1, 1, 1), 1)
+        assert not anonymity_property(2).fulfills((3, 1, 1, 1))
+        assert anonymity_property(2).fulfills((3, 3, 2, 2))
+        assert anonymity_property(1).fulfills((3, 1, 1, 1))
 
     def test_fulfills_guard(self):
         with pytest.raises(InvalidInputError):
-            anonymity_fulfills((1, 1), 0)
+            anonymity_property(0).fulfills((1, 1))
 
     def test_nsc_leaf_raise(self):
-        x = anonymity_nsc([3, 1, 1, 1], 2, 2, 3)
+        x = pi_nsc_decide(anonymity_property(2), [3, 1, 1, 1], 2, 3)
         assert x is not None
         final = sorted((d + v for d, v in zip([3, 1, 1, 1], x)), reverse=True)
         assert final == [3, 3, 1, 1]
 
     def test_nsc_zero_target(self):
-        assert anonymity_nsc([2, 2, 1, 1], 2, 0, 2) == [0, 0, 0, 0]
+        assert pi_nsc_decide(anonymity_property(2), [2, 2, 1, 1], 0, 2) == [0, 0, 0, 0]
 
     def test_nsc_level_above_n(self):
         for target in range(5):
-            assert anonymity_nsc([1, 1], 3, target, 4) is None
+            assert pi_nsc_decide(anonymity_property(3), [1, 1], target, 4) is None
 
     def test_nsc_empty(self):
-        assert anonymity_nsc([], 2, 0, 3) == []
-        assert anonymity_nsc([], 2, 2, 3) is None
+        assert pi_nsc_decide(anonymity_property(2), [], 0, 3) == []
+        assert pi_nsc_decide(anonymity_property(2), [], 2, 3) is None
 
     def test_nsc_matches_bruteforce_exhaustively(self):
         # Every degree multiset with n <= 6 and entries <= 4, every target
@@ -456,22 +454,22 @@ class TestAnonymity:
                 degrees = tuple(sorted(degrees, reverse=True))
                 for k_anon in (1, 2, 3):
                     for target in range(0, 9):
-                        got = anonymity_nsc(list(degrees), k_anon, target, 4)
+                        got = pi_nsc_decide(props[k_anon], list(degrees), target, 4)
                         expect = brute_nsc(props[k_anon].fulfills, degrees, target, 4)
                         assert (got is None) == (expect is None), (degrees, k_anon, target)
 
     def test_nsc_long_sequence(self):
         # 1000 runs of two: deeper than the interpreter's recursion limit
         # if the runs were followed by recursive calls.
-        assert anonymity_nsc([2] * 2000, 2, 0, 2) == [0] * 2000
-        x = anonymity_nsc([2] * 1998 + [1, 1], 3, 2, 3)
+        assert pi_nsc_decide(anonymity_property(2), [2] * 2000, 0, 2) == [0] * 2000
+        x = pi_nsc_decide(anonymity_property(3), [2] * 1998 + [1, 1], 2, 3)
         assert x is not None and sum(x) == 2
-        assert anonymity_fulfills([d + v for d, v in zip([2] * 1998 + [1, 1], x)], 3)
+        assert anonymity_property(3).fulfills([d + v for d, v in zip([2] * 1998 + [1, 1], x)])
 
     def test_nsc_huge_cap(self):
         # The table is as wide as the largest reachable degree, not the cap:
         # a cap of 10^12 would otherwise allocate 10^12 cells per row.
-        assert anonymity_nsc([3, 1, 1, 1], 2, 4, 10**12) == [0, 2, 1, 1]
+        assert pi_nsc_decide(anonymity_property(2), [3, 1, 1, 1], 4, 10**12) == [0, 2, 1, 1]
         edges = dsc_solve(DscInstance(star3(), 2, anonymity_property(2), 10**12))
         assert edges is not None and len(edges) == 2
 
@@ -485,11 +483,9 @@ class TestAnonymity:
             degrees = [rng.randrange(0, delta + 1) for _ in range(n)]
             target = rng.randrange(0, 7)
             k_anon = rng.randrange(1, 4)
-            fulfills = prop_cache.setdefault(
-                k_anon, anonymity_property(k_anon)
-            ).fulfills
-            got = anonymity_nsc(degrees, k_anon, target, delta)
-            expect = brute_nsc(fulfills, degrees, target, delta)
+            prop = prop_cache.setdefault(k_anon, anonymity_property(k_anon))
+            got = pi_nsc_decide(prop, degrees, target, delta)
+            expect = brute_nsc(prop.fulfills, degrees, target, delta)
             assert (got is None) == (expect is None), (degrees, k_anon, target, delta)
 
 
@@ -498,7 +494,7 @@ class TestAnonymize:
         edges = anonymize(star3(), 2, 2)
         assert edges is not None and len(edges) == 2
         final = degree_sequence(add_edges(star3(), edges))
-        assert anonymity_fulfills(final, 2)
+        assert anonymity_property(2).fulfills(final)
 
     def test_star_budget_one_absent(self):
         assert anonymize(star3(), 2, 1) is None
@@ -535,13 +531,11 @@ class TestAnonymize:
             k_anon = rng.randrange(1, 4)
             s = rng.randrange(0, 4)
             got = anonymize(g, k_anon, s)
-            expect = brute_dsc(
-                g, s, lambda t, ka=k_anon: anonymity_fulfills(t, ka)
-            )
+            expect = brute_dsc(g, s, anonymity_property(k_anon).fulfills)
             assert (got is None) == (expect is None)
             if got is not None:
                 assert len(got) <= s
-                assert anonymity_fulfills(degree_sequence(add_edges(g, got)), k_anon)
+                assert anonymity_property(k_anon).fulfills(degree_sequence(add_edges(g, got)))
 
 
 class TestBuiltins:

@@ -132,6 +132,10 @@ class TestAddRemoveEdges:
         with pytest.raises(InvalidInputError):
             add_edges(path3(), [(1, 1)])
 
+    def test_rejects_out_of_range(self):
+        with pytest.raises(InvalidInputError, match="out of range"):
+            add_edges(path3(), [(0, 3)])
+
     def test_remove(self):
         assert remove_edges(triangle(), [(0, 2)]) == path3()
 

@@ -10,14 +10,14 @@ from degkit.dce import (
     Kernel,
     TrivialNo,
     brute_force_solve,
-    is_valid_solution,
     kernelize_kr,
     make_dce,
     validate_solution,
 )
-from degkit.errors import InvalidInputError
+from degkit import winwin
+from degkit.errors import InternalInvariantError, InvalidInputError
 from degkit.graph import Graph, add_edges
-from degkit.nce import make_nce, nce_decide
+from degkit.nce import make_nce, nce_traceback
 from degkit.winwin import (
     TrivialYes,
     kernelize_r,
@@ -112,7 +112,7 @@ class TestTryLargeSolution:
             inst = make_dce(Graph(n, edges), rng.randrange(18, 40), 2, lists)
             sol = try_large_solution(inst)
             if sol is not None:
-                assert is_valid_solution(inst, sol)
+                validate_solution(inst, sol)
                 hits += 1
         assert hits >= 10
 
@@ -132,14 +132,14 @@ class TestTryLargeSolution:
             lists += [{0, 1} for _ in range(decoys)]
             inst = make_dce(Graph(n, edges), 10, 1, lists)
             nce_yes = any(
-                nce_decide(make_nce(inst.graph.degrees(), 2 * kp, 1, lists))
+                nce_traceback(make_nce(inst.graph.degrees(), 2 * kp, 1, lists)) is not None
                 for kp in range(4, 11)
             )
             sol = try_large_solution(inst)
             assert (sol is not None) == nce_yes
             if sol is not None:
                 hits += 1
-                assert is_valid_solution(inst, sol)
+                validate_solution(inst, sol)
         assert hits > 20
 
 
@@ -147,8 +147,15 @@ class TestKernelizeR:
     def test_large_yes(self):
         result = kernelize_r(ten_isolated_instance(k=5))
         assert isinstance(result, TrivialYes)
-        assert is_valid_solution(ten_isolated_instance(k=5), result.witness)
+        validate_solution(ten_isolated_instance(k=5), result.witness)
         assert len(result.witness.edits) == 5
+
+    def test_wrong_large_solution_is_a_defect(self, monkeypatch):
+        # Forty vertices that must each gain one edge: a single edge is no
+        # solution, and the re-check must report a defect, not bad input.
+        monkeypatch.setattr(winwin, "realize_large", lambda *args: {(0, 1)})
+        with pytest.raises(InternalInvariantError):
+            kernelize_r(make_dce(Graph(40), 20, 1, [{1}] * 40))
 
     def test_small_budget_delegates(self):
         inst = make_dce(Graph(4, [(0, 1)]), 2, 1, [{1}, {1}, {0, 1}, {0, 1}])
@@ -192,7 +199,7 @@ class TestKernelizeR:
             original = brute_force_solve(inst)
             if isinstance(result, TrivialYes):
                 assert original is not None
-                assert is_valid_solution(inst, result.witness)
+                validate_solution(inst, result.witness)
             elif isinstance(result, TrivialNo):
                 assert original is None
             else:
