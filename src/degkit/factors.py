@@ -9,6 +9,8 @@ bijection with f-factors.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .errors import InvalidInputError
 from .graph import DemandFunction, Edge, Graph, induced_subgraph
 from .matching import max_matching
@@ -77,54 +79,60 @@ def _factor_via_gadget(g: Graph, h: tuple[int, ...]) -> set[Edge] | None:
     side lose the bridge and are forced onto fillers, excluding the edge.
     """
     n = g.vertex_count
-    stub: dict[tuple[int, int], int] = {}
+    adj = g.adj
+    # The stub of v towards its i-th neighbor is base[v] + i. Fillers are
+    # numbered after all stubs.
+    base = [0] * n
     size = 0
     for v in range(n):
-        if h[v] == 0:
-            continue
-        for u in g.adj[v]:
-            stub[(v, u)] = size
-            size += 1
+        if h[v] > 0:
+            base[v] = size
+            size += len(adj[v])
 
     # The seed is a greedy partial h-factor: take each edge while both
     # endpoints still have demand left. Its bridge starts the matching,
     # every other stub of a cell is paired with a free filler of that cell,
     # and only the demand left unmet starts an augmenting search.
-    gadget_edges: list[Edge] = []
+    partner = [-1] * size
+    bridges: list[tuple[int, int, int]] = []
     seed: list[Edge] = []
     left = list(h)
-    for u, v in g.edges():
-        if h[u] > 0 and h[v] > 0:
-            bridge = (stub[(u, v)], stub[(v, u)])
-            gadget_edges.append(bridge)
-            if left[u] > 0 and left[v] > 0:
-                left[u] -= 1
-                left[v] -= 1
-                seed.append(bridge)
+    for u in range(n):
+        if h[u] == 0:
+            continue
+        for i, v in enumerate(adj[u]):
+            if v > u and h[v] > 0:
+                a, b = base[u] + i, base[v] + bisect_left(adj[v], u)
+                partner[a], partner[b] = b, a
+                bridges.append((u, v, a))
+                if left[u] > 0 and left[v] > 0:
+                    left[u] -= 1
+                    left[v] -= 1
+                    seed.append((a, b))
     bridged = {s for pair in seed for s in pair}
 
+    # A stub's neighbors are its bridge partner, if any, and then its cell's
+    # fillers; a filler's are its cell's stubs. Partners are stubs and so
+    # precede every filler, which keeps each list increasing.
+    gadget: list[tuple[int, ...]] = []
+    filler_adj: list[tuple[int, ...]] = []
     for v in range(n):
         if h[v] == 0:
             continue
-        cell = [stub[(v, u)] for u in g.adj[v]]
-        spare = [s for s in cell if s not in bridged]
-        for i in range(g.degree(v) - h[v]):
-            filler = size
-            size += 1
-            for s in cell:
-                gadget_edges.append((s, filler))
-            seed.append((spare[i], filler))
+        cell = range(base[v], base[v] + len(adj[v]))
+        first = size + len(filler_adj)
+        fillers = tuple(range(first, first + len(adj[v]) - h[v]))
+        gadget.extend((partner[s], *fillers) if partner[s] >= 0 else fillers for s in cell)
+        filler_adj.extend([tuple(cell)] * len(fillers))
+        seed.extend(zip((s for s in cell if s not in bridged), fillers))
+    gadget += filler_adj
 
-    matching = max_matching(Graph(size, gadget_edges), initial=seed)
-    if 2 * len(matching) != size:
+    matching = max_matching(Graph.from_sorted_adjacency(gadget), initial=seed)
+    if 2 * len(matching) != len(gadget):
         return None
 
-    mate = {}
+    mate = [-1] * len(gadget)
     for a, b in matching:
         mate[a] = b
         mate[b] = a
-    return {
-        (u, v)
-        for u, v in g.edges()
-        if h[u] > 0 and h[v] > 0 and mate[stub[(u, v)]] == stub[(v, u)]
-    }
+    return {(u, v) for u, v, a in bridges if mate[a] == partner[a]}

@@ -11,12 +11,23 @@ DIMACS-flavored, 1-based indices:
                                              completed degrees, max degree + k
                                              when missing)
 
-Headers with more than MAX_VERTICES vertices are rejected. Solutions are
-`NO` or `YES <count>` followed by one edit per line (`add u v`, `del u v`,
-`rm v`).
+Headers with more than MAX_VERTICES vertices, and property parameters
+beyond the one a property takes, are rejected. Solutions are `NO` or
+`YES <count>` followed by one edit per line (`add u v`, `del u v`, `rm v`).
+
+`parse_instance` reads an instance in one pass over its lines: a token goes
+through int() at most once, each edge lands in its two endpoints' adjacency
+lists (which share one int object per vertex), and each distinct
+degree-list spelling is read and range-checked once. Sorting the lists exposes repeated edges; only then is the text
+scanned again, to name the line of the first repeat. The sorted lists
+become the Graph through `Graph.from_sorted_adjacency`, without the
+checks `Graph(n, edges)` makes. Every fault raises ParseError on the
+first line that shows it.
 """
 
 from __future__ import annotations
+
+from typing import NoReturn
 
 from .dce import DceInstance, EditKind, EditSolution, make_dce
 from .dsc import (
@@ -27,35 +38,40 @@ from .dsc import (
     h_index_property,
     regular_property,
 )
-from .errors import InvalidInputError, ParseError
-from .graph import Graph
+from .errors import InternalInvariantError, InvalidInputError, ParseError
+from .graph import Graph, repeated_neighbor
 
 _OP_TOKENS = {kind.value: kind for kind in EditKind}
 
-# The largest n a header may declare: a Graph allocates one list per vertex
-# before any edge is read, so an unbounded n would exhaust memory. 2^20 is
-# about ten times the 100k-vertex inputs of the kernel-large benchmark.
+# The largest n a header may declare: the parser allocates one adjacency
+# list per vertex before any edge is read, so an unbounded n would exhaust
+# memory. 2^20 is about ten times the 100k-vertex inputs of the kernel-large
+# benchmark.
 MAX_VERTICES = 1 << 20
+
+
+_PARAMETERIZED = {
+    "anon": anonymity_property,
+    "hindex": h_index_property,
+    "balanced": balanced_property,
+}
 
 
 def _parse_property(tokens: list[str], line_no: int) -> PiProperty:
     if not tokens:
         raise ParseError("missing property name", line_no)
     name, params = tokens[0], tokens[1:]
-    try:
-        if name == "regular":
-            if params:
-                raise ParseError("regular takes no parameters", line_no)
-            return regular_property()
-        if name == "anon":
-            return anonymity_property(_int(params[0], line_no))
-        if name == "hindex":
-            return h_index_property(_int(params[0], line_no))
-        if name == "balanced":
-            return balanced_property(_int(params[0], line_no))
-    except IndexError:
-        raise ParseError(f"property {name} needs a parameter", line_no) from None
-    raise ParseError(f"unknown property {name!r}", line_no)
+    if name == "regular":
+        if params:
+            raise ParseError("regular takes no parameters", line_no)
+        return regular_property()
+    if name not in _PARAMETERIZED:
+        raise ParseError(f"unknown property {name!r}", line_no)
+    if not params:
+        raise ParseError(f"property {name} needs a parameter", line_no)
+    if len(params) > 1:
+        raise ParseError("trailing tokens on the problem line", line_no)
+    return _PARAMETERIZED[name](_int(params[0], line_no))
 
 
 def _int(token: str, line_no: int) -> int:
@@ -65,90 +81,151 @@ def _int(token: str, line_no: int) -> int:
         raise ParseError(f"expected an integer, got {token!r}", line_no) from None
 
 
+def _not_integer(tokens: list[str], line_no: int) -> ParseError:
+    """The fault of the first token int() rejects; called once one has."""
+    for token in tokens:
+        try:
+            int(token)
+        except ValueError:
+            break
+    return ParseError(f"expected an integer, got {token!r}", line_no)
+
+
+def _raise_first_repeat(lines: list[str]) -> NoReturn:
+    """Raise at the first edge line that repeats an earlier edge.
+
+    Called only once the adjacency lists hold a repeated edge, so every edge
+    line up to that one has been read without fault."""
+    seen: set[tuple[int, int]] = set()
+    for line_no, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if tokens and tokens[0] == "e":
+            u, v = int(tokens[1]), int(tokens[2])
+            e = (min(u, v), max(u, v))
+            if e in seen:
+                raise ParseError(f"duplicate edge {u} {v}", line_no)
+            seen.add(e)
+    raise InternalInvariantError("the adjacency lists repeat an edge no line repeats")
+
+
 def parse_instance(text: str) -> DceInstance | DscInstance:
-    """Parse an instance file; malformed input raises ParseError with a line number."""
+    """Parse an instance file; malformed input raises ParseError with a line number.
+
+    A repeated edge shows only once the pass is over, so it is looked for
+    both then and at any other fault: the earlier line wins.
+    """
+    lines = text.splitlines()
     header: list[str] | None = None
     header_line = 0
-    edges: list[tuple[int, int]] = []
-    edge_seen: set[tuple[int, int]] = set()
-    lists: dict[int, list[int]] = {}
+    adj: list[list[int]] | None = None
+    ids: list[int] = []
+    tau: list[frozenset[int] | None] = []
+    known: dict[tuple[str, ...], frozenset[int]] = {}
     n = m = r = 0
     cap: int | None = None
     cap_line = 0
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        tokens = line.split()
-        kind = tokens[0]
-        if kind == "p":
-            if header is not None:
-                raise ParseError("duplicate problem line", line_no)
-            if len(tokens) < 5:
-                raise ParseError("problem line needs at least 4 fields", line_no)
-            if tokens[1] == "dce" and len(tokens) < 6:
-                raise ParseError("dce header needs n m k r", line_no)
-            header, header_line = tokens, line_no
-            n, m = _int(tokens[2], line_no), _int(tokens[3], line_no)
-            if tokens[1] == "dce":
-                r = _int(tokens[5], line_no)
-            if n < 0 or m < 0:
-                raise ParseError("n and m must be nonnegative", line_no)
-            if n > MAX_VERTICES:
-                raise ParseError(f"n = {n} exceeds the cap {MAX_VERTICES}", line_no)
-        elif kind == "e":
-            if header is None:
-                raise ParseError("edge before the problem line", line_no)
-            if len(tokens) != 3:
-                raise ParseError("edge line needs two endpoints", line_no)
-            u, v = _int(tokens[1], line_no), _int(tokens[2], line_no)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"endpoint out of range 1..{n}", line_no)
-            if u == v:
-                raise ParseError("self-loop", line_no)
-            e = (min(u, v) - 1, max(u, v) - 1)
-            if e in edge_seen:
-                raise ParseError(f"duplicate edge {u} {v}", line_no)
-            edge_seen.add(e)
-            edges.append(e)
-        elif kind == "t":
-            if header is None:
-                raise ParseError("degree list before the problem line", line_no)
-            if header[1] != "dce":
-                raise ParseError("degree lists apply to dce instances only", line_no)
-            if len(tokens) < 2:
-                raise ParseError("degree-list line needs a vertex", line_no)
-            v = _int(tokens[1], line_no)
-            if not (1 <= v <= n):
-                raise ParseError(f"vertex out of range 1..{n}", line_no)
-            if v - 1 in lists:
-                raise ParseError(f"duplicate degree list for vertex {v}", line_no)
-            values = [_int(tok, line_no) for tok in tokens[2:]]
-            for d in values:
-                if d < 0 or d > r:
-                    raise ParseError(f"degree {d} outside 0..{r}", line_no)
-            lists[v - 1] = values
-        elif kind == "d":
-            if header is None:
-                raise ParseError("degree cap before the problem line", line_no)
-            if header[1] != "dsc":
-                raise ParseError("a degree cap applies to dsc instances only", line_no)
-            if cap is not None:
-                raise ParseError("duplicate degree cap", line_no)
-            if len(tokens) != 2:
-                raise ParseError("degree-cap line needs one value", line_no)
-            cap, cap_line = _int(tokens[1], line_no), line_no
-        else:
-            raise ParseError(f"unknown line kind {kind!r}", line_no)
+    try:
+        for line_no, raw in enumerate(lines, start=1):
+            tokens = raw.split()
+            if not tokens:
+                continue
+            kind = tokens[0]
+            if kind == "e":
+                if adj is None:
+                    raise ParseError("edge before the problem line", line_no)
+                if len(tokens) != 3:
+                    raise ParseError("edge line needs two endpoints", line_no)
+                try:
+                    u = int(tokens[1]) - 1
+                    v = int(tokens[2]) - 1
+                except ValueError:
+                    raise _not_integer(tokens[1:], line_no) from None
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ParseError(f"endpoint out of range 1..{n}", line_no)
+                if u == v:
+                    raise ParseError("self-loop", line_no)
+                adj[u].append(ids[v])
+                adj[v].append(ids[u])
+            elif kind == "t":
+                if header is None:
+                    raise ParseError("degree list before the problem line", line_no)
+                if header[1] != "dce":
+                    raise ParseError("degree lists apply to dce instances only", line_no)
+                if len(tokens) < 2:
+                    raise ParseError("degree-list line needs a vertex", line_no)
+                v = _int(tokens[1], line_no) - 1
+                if not (0 <= v < n):
+                    raise ParseError(f"vertex out of range 1..{n}", line_no)
+                if tau[v] is not None:
+                    raise ParseError(f"duplicate degree list for vertex {v + 1}", line_no)
+                # Lists repeat, so each distinct spelling is read and checked
+                # once and its set shared.
+                spelled = tuple(tokens[2:])
+                values = known.get(spelled)
+                if values is None:
+                    try:
+                        values = frozenset(map(int, spelled))
+                    except ValueError:
+                        raise _not_integer(tokens[2:], line_no) from None
+                    if values and (min(values) < 0 or max(values) > r):
+                        d = next(d for d in map(int, spelled) if not 0 <= d <= r)
+                        raise ParseError(f"degree {d} outside 0..{r}", line_no)
+                    known[spelled] = values
+                tau[v] = values
+            elif kind.startswith("c"):
+                continue
+            elif kind == "p":
+                if header is not None:
+                    raise ParseError("duplicate problem line", line_no)
+                if len(tokens) < 5:
+                    raise ParseError("problem line needs at least 4 fields", line_no)
+                if tokens[1] == "dce" and len(tokens) < 6:
+                    raise ParseError("dce header needs n m k r", line_no)
+                header, header_line = tokens, line_no
+                n, m = _int(tokens[2], line_no), _int(tokens[3], line_no)
+                if tokens[1] == "dce":
+                    r = _int(tokens[5], line_no)
+                if n < 0 or m < 0:
+                    raise ParseError("n and m must be nonnegative", line_no)
+                if n > MAX_VERTICES:
+                    raise ParseError(f"n = {n} exceeds the cap {MAX_VERTICES}", line_no)
+                adj = [[] for _ in range(n)]
+                # One int object per vertex, shared by every list holding it,
+                # keeps the adjacency small and its reads local.
+                ids = list(range(n))
+                if tokens[1] == "dce":
+                    tau = [None] * n
+            elif kind == "d":
+                if header is None:
+                    raise ParseError("degree cap before the problem line", line_no)
+                if header[1] != "dsc":
+                    raise ParseError("a degree cap applies to dsc instances only", line_no)
+                if cap is not None:
+                    raise ParseError("duplicate degree cap", line_no)
+                if len(tokens) != 2:
+                    raise ParseError("degree-cap line needs one value", line_no)
+                cap, cap_line = _int(tokens[1], line_no), line_no
+            else:
+                raise ParseError(f"unknown line kind {kind!r}", line_no)
+    except ParseError:
+        # A repeated edge on an earlier line is the first fault in the file.
+        if adj is not None and repeated_neighbor(adj) is not None:
+            _raise_first_repeat(lines)
+        raise
 
     if header is None:
         raise ParseError("missing problem line")
-    if len(edges) != m:
+    for ns in adj:
+        ns.sort()
+    if repeated_neighbor(adj) is not None:
+        _raise_first_repeat(lines)
+    edge_count = sum(map(len, adj)) // 2
+    if edge_count != m:
         raise ParseError(
-            f"header declares {m} edges but {len(edges)} were given", header_line
+            f"header declares {m} edges but {edge_count} were given", header_line
         )
-    graph = Graph(n, edges)
+    graph = Graph.from_sorted_adjacency(adj)
     k = _int(header[4], header_line)
 
     # Header values the instance constructors reject (a negative budget, a
@@ -162,8 +239,8 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
                 op = _OP_TOKENS[header[6]]
             if len(header) > 7:
                 raise ParseError("trailing tokens on the problem line", header_line)
-            full = [lists.get(v, []) for v in range(n)]
-            return make_dce(graph, k, r, full, op)
+            missing: frozenset[int] = frozenset()
+            return make_dce(graph, k, r, [missing if s is None else s for s in tau], op)
         if header[1] == "dsc":
             prop = _parse_property(header[5:], header_line)
             if cap is not None and cap < graph.max_degree():

@@ -34,7 +34,6 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[Edge] = ()):
         if vertex_count < 0:
             raise InvalidInputError("vertex_count must be nonnegative")
-        self.vertex_count = vertex_count
         lists: list[list[int]] = [[] for _ in range(vertex_count)]
         for u, v in edges:
             if u == v:
@@ -45,15 +44,29 @@ class Graph:
                 )
             lists[u].append(v)
             lists[v].append(u)
-        adj = []
-        for u, ns in enumerate(lists):
+        for ns in lists:
             ns.sort()
-            if len(ns) != len(set(ns)):
-                dup = next(ns[i] for i in range(1, len(ns)) if ns[i] == ns[i - 1])
-                raise EdgeConflictError(f"duplicate edge ({u}, {dup})")
-            adj.append(tuple(ns))
-        self.adj: tuple[tuple[int, ...], ...] = tuple(adj)
-        self._degrees: tuple[int, ...] = tuple(len(ns) for ns in self.adj)
+        found = repeated_neighbor(lists)
+        if found is not None:
+            raise EdgeConflictError(f"duplicate edge {found}")
+        self._take(lists)
+
+    @classmethod
+    def from_sorted_adjacency(cls, adj: Iterable[Sequence[int]]) -> Graph:
+        """The graph whose vertex u has the neighbors adj[u], checking nothing.
+
+        For callers whose adjacency is simple by construction: every list
+        increasing, v in adj[u] exactly when u in adj[v], and no loops. Input
+        from outside goes through Graph(n, edges), which checks all of that.
+        """
+        g = cls.__new__(cls)
+        g._take(adj)
+        return g
+
+    def _take(self, adj: Iterable[Sequence[int]]) -> None:
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self.vertex_count = len(self.adj)
+        self._degrees: tuple[int, ...] = tuple(map(len, self.adj))
 
     # -- queries ---------------------------------------------------------
 
@@ -105,20 +118,31 @@ def degree_sequence(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(g.degrees(), reverse=True))
 
 
+def repeated_neighbor(adj: Sequence[Sequence[int]]) -> Edge | None:
+    """(u, v) for the first u whose list holds some v twice, the least such
+    v, or None when no list repeats a neighbor. The lists need not be sorted."""
+    if sum(map(len, adj)) == sum(map(len, map(set, adj))):
+        return None
+    for u, ns in enumerate(adj):
+        if len(set(ns)) != len(ns):
+            ordered = sorted(ns)
+            return (u, min(a for a, b in zip(ordered, ordered[1:]) if a == b))
+    return None
+
+
 def complement(g: Graph) -> Graph:
     """The graph on the same vertices whose edges are exactly the non-edges."""
     n = g.vertex_count
-    edges = []
-    for u in range(n):
-        ns = g.adj[u]
-        i = 0
-        for v in range(u + 1, n):
-            while i < len(ns) and ns[i] < v:
-                i += 1
-            if i < len(ns) and ns[i] == v:
-                continue
-            edges.append((u, v))
-    return Graph(n, edges)
+    adj = []
+    for u, ns in enumerate(g.adj):
+        row: list[int] = []
+        start = 0
+        for w in sorted((*ns, u)):
+            row.extend(range(start, w))
+            start = w + 1
+        row.extend(range(start, n))
+        adj.append(row)
+    return Graph.from_sorted_adjacency(adj)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -133,13 +157,12 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
             raise InvalidInputError(f"vertex {v} out of range for n={g.vertex_count}")
     if len(keep) == g.vertex_count:
         return g, tuple(keep)
-    new_of_old = {old: new for new, old in enumerate(keep)}
-    edges = []
-    for old_u in keep:
-        for old_v in g.adj[old_u]:
-            if old_v > old_u and old_v in new_of_old:
-                edges.append((new_of_old[old_u], new_of_old[old_v]))
-    return Graph(len(keep), edges), tuple(keep)
+    new_of_old = [-1] * g.vertex_count
+    for new, old in enumerate(keep):
+        new_of_old[old] = new
+    # The renumbering keeps the order, so each kept list stays increasing.
+    adj = [[i for w in g.adj[old] if (i := new_of_old[w]) >= 0] for old in keep]
+    return Graph.from_sorted_adjacency(adj), tuple(keep)
 
 
 def add_edges(g: Graph, new_edges: Iterable[Edge]) -> Graph:
@@ -150,12 +173,17 @@ def add_edges(g: Graph, new_edges: Iterable[Edge]) -> Graph:
 
 def remove_edges(g: Graph, old_edges: Iterable[Edge]) -> Graph:
     """Return G minus the given edges; absent edges are rejected."""
-    removed: set[Edge] = set()
+    gone: dict[int, set[int]] = {}
     for u, v in old_edges:
         e = normalize_edge(u, v)
         if not g.has_edge(*e):
             raise InvalidInputError(f"edge {e} not present")
-        if e in removed:
+        if e[1] in gone.get(e[0], ()):
             raise EdgeConflictError(f"duplicate edge {e} in removal set")
-        removed.add(e)
-    return Graph(g.vertex_count, [e for e in g.edges() if e not in removed])
+        gone.setdefault(u, set()).add(v)
+        gone.setdefault(v, set()).add(u)
+    adj = [
+        [w for w in ns if w not in gone[u]] if u in gone else ns
+        for u, ns in enumerate(g.adj)
+    ]
+    return Graph.from_sorted_adjacency(adj)

@@ -9,6 +9,17 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Sequence
 
+from degkit.dce import DceInstance, EditKind, make_dce
+from degkit.dsc import (
+    DscInstance,
+    PiProperty,
+    anonymity_property,
+    balanced_property,
+    h_index_property,
+    regular_property,
+)
+from degkit.errors import InvalidInputError, ParseError
+from degkit.formats import MAX_VERTICES
 from degkit.graph import Edge, Graph
 
 
@@ -260,3 +271,145 @@ def small_graphs(max_n: int, min_n: int = 0):
         if n < min_n:
             continue
         yield Graph(n, [(int(u), int(v)) for u, v in nxg.edges()])
+
+
+# -- instance files ------------------------------------------------------------
+
+
+def _ref_int(token: str, line_no: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {token!r}", line_no) from None
+
+
+def _ref_property(tokens: list[str], line_no: int) -> PiProperty:
+    if not tokens:
+        raise ParseError("missing property name", line_no)
+    name, params = tokens[0], tokens[1:]
+    factories = {
+        "anon": anonymity_property,
+        "hindex": h_index_property,
+        "balanced": balanced_property,
+    }
+    if name == "regular":
+        if params:
+            raise ParseError("regular takes no parameters", line_no)
+        return regular_property()
+    if name not in factories:
+        raise ParseError(f"unknown property {name!r}", line_no)
+    if len(params) != 1:
+        raise ParseError(f"property {name} takes one parameter", line_no)
+    return factories[name](_ref_int(params[0], line_no))
+
+
+def reference_parse_instance(text: str) -> DceInstance | DscInstance:
+    """The file format read line by line, each fault raised where it is met.
+
+    Edges are checked against a set of pairs as they arrive and again by
+    the checked Graph constructor; degree lists are range-checked here and
+    again by make_dce.
+    """
+    header: list[str] | None = None
+    header_line = 0
+    edges: list[tuple[int, int]] = []
+    edge_seen: set[tuple[int, int]] = set()
+    lists: dict[int, list[int]] = {}
+    n = m = r = 0
+    cap: int | None = None
+    cap_line = 0
+    ops = {kind.value: kind for kind in EditKind}
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        tokens = line.split()
+        kind = tokens[0]
+        if kind == "p":
+            if header is not None:
+                raise ParseError("duplicate problem line", line_no)
+            if len(tokens) < 5:
+                raise ParseError("problem line needs at least 4 fields", line_no)
+            if tokens[1] == "dce" and len(tokens) < 6:
+                raise ParseError("dce header needs n m k r", line_no)
+            header, header_line = tokens, line_no
+            n, m = _ref_int(tokens[2], line_no), _ref_int(tokens[3], line_no)
+            if tokens[1] == "dce":
+                r = _ref_int(tokens[5], line_no)
+            if n < 0 or m < 0:
+                raise ParseError("n and m must be nonnegative", line_no)
+            if n > MAX_VERTICES:
+                raise ParseError(f"n = {n} exceeds the cap {MAX_VERTICES}", line_no)
+        elif kind == "e":
+            if header is None:
+                raise ParseError("edge before the problem line", line_no)
+            if len(tokens) != 3:
+                raise ParseError("edge line needs two endpoints", line_no)
+            u, v = _ref_int(tokens[1], line_no), _ref_int(tokens[2], line_no)
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(f"endpoint out of range 1..{n}", line_no)
+            if u == v:
+                raise ParseError("self-loop", line_no)
+            e = (min(u, v) - 1, max(u, v) - 1)
+            if e in edge_seen:
+                raise ParseError(f"duplicate edge {u} {v}", line_no)
+            edge_seen.add(e)
+            edges.append(e)
+        elif kind == "t":
+            if header is None:
+                raise ParseError("degree list before the problem line", line_no)
+            if header[1] != "dce":
+                raise ParseError("degree lists apply to dce instances only", line_no)
+            if len(tokens) < 2:
+                raise ParseError("degree-list line needs a vertex", line_no)
+            v = _ref_int(tokens[1], line_no)
+            if not (1 <= v <= n):
+                raise ParseError(f"vertex out of range 1..{n}", line_no)
+            if v - 1 in lists:
+                raise ParseError(f"duplicate degree list for vertex {v}", line_no)
+            values = [_ref_int(tok, line_no) for tok in tokens[2:]]
+            for d in values:
+                if d < 0 or d > r:
+                    raise ParseError(f"degree {d} outside 0..{r}", line_no)
+            lists[v - 1] = values
+        elif kind == "d":
+            if header is None:
+                raise ParseError("degree cap before the problem line", line_no)
+            if header[1] != "dsc":
+                raise ParseError("a degree cap applies to dsc instances only", line_no)
+            if cap is not None:
+                raise ParseError("duplicate degree cap", line_no)
+            if len(tokens) != 2:
+                raise ParseError("degree-cap line needs one value", line_no)
+            cap, cap_line = _ref_int(tokens[1], line_no), line_no
+        else:
+            raise ParseError(f"unknown line kind {kind!r}", line_no)
+
+    if header is None:
+        raise ParseError("missing problem line")
+    if len(edges) != m:
+        raise ParseError(f"header declares {m} edges but {len(edges)} were given", header_line)
+    graph = Graph(n, edges)
+    k = _ref_int(header[4], header_line)
+    try:
+        if header[1] == "dce":
+            op = EditKind.EDGE_ADDITION
+            if len(header) >= 7:
+                if header[6] not in ops:
+                    raise ParseError(f"unknown operation {header[6]!r}", header_line)
+                op = ops[header[6]]
+            if len(header) > 7:
+                raise ParseError("trailing tokens on the problem line", header_line)
+            return make_dce(graph, k, r, [lists.get(v, []) for v in range(n)], op)
+        if header[1] == "dsc":
+            prop = _ref_property(header[5:], header_line)
+            if cap is not None and cap < graph.max_degree():
+                raise ParseError(
+                    f"degree cap {cap} below the maximum degree {graph.max_degree()}",
+                    cap_line,
+                )
+            return DscInstance(graph, k, prop, cap)
+    except InvalidInputError as exc:
+        raise ParseError(str(exc), header_line) from exc
+    raise ParseError(f"unknown problem kind {header[1]!r}", header_line)

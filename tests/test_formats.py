@@ -20,6 +20,8 @@ from degkit.formats import (
 from degkit.generators import gen_random_dce
 from degkit.graph import Graph
 
+from oracles import reference_parse_instance
+
 TRIPLE = "p dce 3 0 3 2\nt 1 2\nt 2 0 2\nt 3 0 2\n"
 
 
@@ -103,17 +105,53 @@ class TestParseInstance:
             parse_instance(text)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "p dsc 3 0 1 regular 1",
+            "p dsc 3 0 1 anon 2 junk",
+            "p dsc 3 0 1 hindex 1 9 9",
+            "p dsc 3 0 1 balanced 1 0",
+        ],
+    )
+    def test_trailing_property_tokens(self, header):
+        with pytest.raises(ParseError) as err:
+            parse_instance("c properties take one parameter at most\n" + header + "\n")
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("p dce 3 2 1 1\ne 1 2\ne 2 1\n", 3),
+            ("p dce 3 3 1 1\ne 1 2\ne 2 3\nc x\ne 3 2\n", 5),
+            # The repeat comes first, so it wins over the later faults.
+            ("p dce 3 3 1 1\ne 1 2\ne 1 2\ne 1 9\n", 3),
+            # Neither endpoint's list holds the repeat next to the original.
+            ("p dce 3 4 1 1\ne 1 2\ne 1 3\ne 2 3\ne 2 1\ne 1 9\n", 5),
+            ("p dsc 3 2 1 regular\ne 1 3\ne 3 1\np dsc 3 0 1 regular\n", 3),
+            ("p dsc 3 1 1 regular\ne 1 3\ne 3 1\n", 3),
+            # Two repeated pairs: the earlier second occurrence is reported.
+            ("p dce 4 4 1 1\ne 1 2\ne 3 4\ne 4 3\ne 2 1\n", 4),
+        ],
+    )
+    def test_duplicate_edge_reports_its_second_line(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert err.value.line == line
+
     @pytest.mark.parametrize("n", [MAX_VERTICES, MAX_VERTICES + 1, 10**18])
     @pytest.mark.parametrize("fields", ["dce {} 0 0 0", "dsc {} 0 0 regular"])
     def test_vertex_cap(self, n, fields, monkeypatch):
         class Built(Exception):
             pass
 
-        def graph(vertex_count, edges=()):
-            raise Built(vertex_count)
+        class StandIn:
+            @staticmethod
+            def from_sorted_adjacency(adj):
+                raise Built(len(adj))
 
-        # Stands in for Graph, so that no header allocates its vertices.
-        monkeypatch.setattr(formats, "Graph", graph)
+        # Stands in for Graph, so that no header builds a graph of its vertices.
+        monkeypatch.setattr(formats, "Graph", StandIn)
         text = "p " + fields.format(n) + "\n"
         if n <= MAX_VERTICES:
             with pytest.raises(Built):
@@ -171,6 +209,124 @@ class TestParserFuzz:
             parse_instance(text)
         except ParseError:
             pass
+
+
+@st.composite
+def _valid_lines(draw):
+    """The lines of a well-formed dce or dsc file, body lines in any order."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    body = [f"e {v} {u}" if draw(st.booleans()) else f"e {u} {v}" for u, v in edges]
+    k = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, 4))
+        op = draw(st.sampled_from(["", " e+", " e-", " v-"]))
+        header = f"p dce {n} {len(edges)} {k} {r}{op}"
+        for v in draw(st.lists(st.integers(1, n), unique=True, max_size=n)):
+            values = draw(st.lists(st.integers(0, r), max_size=3))
+            body.append(" ".join(["t", str(v), *map(str, values)]))
+    else:
+        prop = draw(st.sampled_from(["regular", "anon 2", "hindex 1", "balanced 1"]))
+        header = f"p dsc {n} {len(edges)} {k} {prop}"
+        if draw(st.booleans()):
+            body.append(f"d {n + k}")
+    return [header, *draw(st.permutations(body))]
+
+
+def _mutate(draw, kind, lines):
+    """One of the faults (or harmless changes) a hand-edited file can carry."""
+    lines = list(lines)
+    at = draw(st.integers(0, len(lines)))
+    some = draw(st.integers(0, len(lines) - 1)) if lines else None
+    fields = [line.split() for line in lines]
+    edges = [f[1:3] for f in fields if f[:1] == ["e"] and len(f) >= 3]
+    listed = [f[1] for f in fields if f[:1] == ["t"] and len(f) >= 2]
+    headers = [i for i, f in enumerate(fields) if f[:1] == ["p"] and len(f) >= 4 and f[3].isdigit()]
+    if kind == "duplicate" and lines:
+        lines.insert(at, lines[some])
+    elif kind == "drop" and lines:
+        del lines[some]
+    elif kind == "swap" and lines:
+        other = draw(st.integers(0, len(lines) - 1))
+        lines[some], lines[other] = lines[other], lines[some]
+    elif kind == "before_header":
+        moved = [f"e {u} {v}" for u, v in edges] + [f"t {v} 0" for v in listed]
+        lines.insert(0, draw(st.sampled_from(["e 1 2", "t 1 0", "d 3", *moved])))
+    elif kind == "out_of_range":
+        end = draw(st.sampled_from(["0", "-1", "7", "99"]))
+        lines.insert(at, draw(st.sampled_from([f"e {end} 1", f"e 1 {end}", f"t {end} 0"])))
+    elif kind == "self_loop":
+        lines.insert(at, draw(st.sampled_from(["e 1 1", "e 2 2"])))
+    elif kind == "repeat_edge" and edges:
+        u, v = draw(st.sampled_from(edges))
+        lines.insert(at, draw(st.sampled_from([f"e {u} {v}", f"e {v} {u}"])))
+    elif kind == "repeat_list" and listed:
+        lines.insert(at, f"t {draw(st.sampled_from(listed))} {draw(st.integers(0, 3))}")
+    elif kind == "tab" and lines:
+        lines[some] = draw(st.sampled_from(["", "\t", "  "])) + lines[some].replace(" ", "\t")
+    elif kind == "comment":
+        lines.insert(at, draw(st.sampled_from(["c note", "  c indented", "\tc tabbed", "", "   "])))
+    elif kind == "wrong_m" and headers:
+        header = fields[headers[0]]
+        header[3] = str(int(header[3]) + draw(st.sampled_from([-1, 1])))
+        lines[headers[0]] = " ".join(header)
+    elif kind == "bad_token" and lines and fields[some]:
+        tokens = fields[some]
+        bad = draw(st.sampled_from(["x", "1.5", "+2", ""]))
+        tokens[draw(st.integers(0, len(tokens) - 1))] = bad
+        lines[some] = " ".join(tokens)
+    elif kind == "trailing" and lines:
+        lines[some] += draw(st.sampled_from([" 9", " junk"]))
+    elif kind == "fault_at_end":
+        lines.append(draw(st.sampled_from(["e 1 99", "t 1 x", "q", "p dce 1 0 0 0"])))
+    return lines
+
+
+# A repeated edge is found after the pass, unlike every other fault, so it
+# is drawn more often, and a fault at the end often follows it.
+_MUTATIONS = st.sampled_from(
+    [
+        "duplicate", "drop", "swap", "before_header", "out_of_range", "self_loop",
+        "repeat_edge", "repeat_edge", "repeat_edge", "repeat_list", "tab", "comment",
+        "wrong_m", "bad_token", "trailing", "fault_at_end",
+    ]
+)
+
+
+@st.composite
+def _mutated_text(draw):
+    lines = draw(_valid_lines())
+    for kind in draw(st.lists(_MUTATIONS, max_size=4)):
+        lines = _mutate(draw, kind, lines)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return ("ParseError", exc.line)
+
+
+class TestParserAgainstReference:
+    def test_same_instance_or_same_fault_line(self):
+        outcomes = set()
+
+        @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @given(_mutated_text())
+        def check(text):
+            out = _outcome(parse_instance, text)
+            assert out == _outcome(reference_parse_instance, text)
+            if not isinstance(out, tuple):
+                outcomes.add("accepted")
+            else:
+                outcomes.add("header" if out[1] in (None, 1) else "body")
+
+        check()
+        # The differential is only as good as its mix of texts.
+        assert outcomes == {"accepted", "header", "body"}
 
 
 class TestRoundTrip:

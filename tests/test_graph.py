@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from degkit import factors
 from degkit.errors import EdgeConflictError, InvalidInputError
 from degkit.graph import (
     Graph,
@@ -39,9 +40,17 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             Graph(2, [(0, 2)])
 
+    def test_rejects_negative_end(self):
+        with pytest.raises(InvalidInputError):
+            Graph(3, [(-1, 2)])
+
     def test_rejects_duplicate_edges(self):
         with pytest.raises(EdgeConflictError):
             Graph(3, [(0, 1), (1, 0)])
+
+    def test_rejects_duplicate_among_many(self):
+        with pytest.raises(EdgeConflictError, match=r"\(2, 3\)"):
+            Graph(5, [(0, 1), (3, 2), (1, 4), (2, 3)])
 
     def test_adjacency_sorted_and_symmetric(self):
         g = Graph(4, [(2, 0), (3, 1), (0, 3)])
@@ -142,3 +151,71 @@ class TestAddRemoveEdges:
     def test_remove_absent(self):
         with pytest.raises(InvalidInputError):
             remove_edges(path3(), [(0, 2)])
+
+
+class TestTrustedConstruction:
+    """Operations that build simple graphs by construction skip Graph's
+    checks; each must give the graph the checked constructor gives."""
+
+    def graphs(self, seed, count=40):
+        rng = random.Random(seed)
+        for _ in range(count):
+            yield random_graph(rng.randrange(0, 12), rng.random(), rng), rng
+
+    def test_from_sorted_adjacency_matches_checked(self):
+        for g, _ in self.graphs(1):
+            built = Graph.from_sorted_adjacency([list(ns) for ns in g.adj])
+            assert built == g
+            assert built.degrees() == g.degrees()
+            assert built.edge_count == g.edge_count
+
+    def test_induced_subgraph(self):
+        for g, rng in self.graphs(2):
+            keep = [v for v in range(g.vertex_count) if rng.random() < 0.6]
+            sub, old = induced_subgraph(g, keep)
+            new_of_old = {v: i for i, v in enumerate(old)}
+            edges = [
+                (new_of_old[u], new_of_old[v])
+                for u, v in g.edges()
+                if u in new_of_old and v in new_of_old
+            ]
+            assert sub == Graph(len(old), edges)
+            assert sub.degrees() == Graph(len(old), edges).degrees()
+
+    def test_complement(self):
+        for g, _ in self.graphs(3):
+            n = g.vertex_count
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+            assert complement(g) == Graph(n, edges)
+            assert complement(g).degrees() == Graph(n, edges).degrees()
+
+    def test_remove_edges(self):
+        for g, rng in self.graphs(4):
+            present = list(g.edges())
+            gone = [e for e in present if rng.random() < 0.4]
+            flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in gone]
+            kept = [e for e in present if e not in set(gone)]
+            assert remove_edges(g, flipped) == Graph(g.vertex_count, kept)
+            assert remove_edges(g, flipped).degrees() == Graph(g.vertex_count, kept).degrees()
+
+    def test_tutte_gadget_is_a_simple_graph(self, monkeypatch):
+        gadgets = []
+
+        def matching(g, initial=()):
+            gadgets.append(g)
+            return real(g, initial=initial)
+
+        real = factors.max_matching
+        monkeypatch.setattr(factors, "max_matching", matching)
+        for g, rng in self.graphs(5, count=100):
+            f = [rng.randrange(0, g.degree(v) + 1) for v in range(g.vertex_count)]
+            factors.f_factor(g, f)
+        assert len(gadgets) >= 10
+        for gadget in gadgets:
+            # The checked constructor rebuilds the same graph only from
+            # adjacency that is increasing, symmetric and free of repeats.
+            assert Graph(gadget.vertex_count, gadget.edges()) == gadget
+
+    def test_remove_rejects_a_repeat_in_either_order(self):
+        with pytest.raises(EdgeConflictError):
+            remove_edges(triangle(), [(0, 2), (2, 0)])
