@@ -36,15 +36,11 @@ class DegreeListFunction:
     def __post_init__(self):
         if self.r < 0:
             raise InvalidInputError("degree bound r must be nonnegative")
-        # One min and one max per list; only a fault looks for its vertex.
-        given = list(filter(None, self.lists))
-        if given and (min(map(min, given)) < 0 or max(map(max, given)) > self.r):
-            i = next(
-                i for i, s in enumerate(self.lists) if s and (min(s) < 0 or max(s) > self.r)
-            )
-            raise InvalidInputError(
-                f"degree list of vertex {i} leaves the range 0..{self.r}"
-            )
+        for i, s in enumerate(self.lists):
+            if s and (min(s) < 0 or max(s) > self.r):
+                raise InvalidInputError(
+                    f"degree list of vertex {i} leaves the range 0..{self.r}"
+                )
 
     def __getitem__(self, v: int) -> frozenset[int]:
         return self.lists[v]

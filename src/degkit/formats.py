@@ -17,9 +17,10 @@ beyond the one a property takes, are rejected. Solutions are `NO` or
 
 `parse_instance` reads an instance in one pass over its lines: a token goes
 through int() at most once, each edge lands in its two endpoints' adjacency
-lists (which share one int object per vertex), and each distinct
-degree-list spelling is read and range-checked once. Sorting the lists exposes repeated edges; only then is the text
-scanned again, to name the line of the first repeat. The sorted lists
+lists (which share one int object per vertex), and each degree list is
+range-checked here and nowhere else on the way to its frozenset. Sorting
+the lists exposes repeated edges; only then is the text scanned again, to
+name the line of the first repeat. The sorted lists
 become the Graph through `Graph.from_sorted_adjacency`, without the
 checks `Graph(n, edges)` makes. Every fault raises ParseError on the
 first line that shows it.
@@ -81,16 +82,6 @@ def _int(token: str, line_no: int) -> int:
         raise ParseError(f"expected an integer, got {token!r}", line_no) from None
 
 
-def _not_integer(tokens: list[str], line_no: int) -> ParseError:
-    """The fault of the first token int() rejects; called once one has."""
-    for token in tokens:
-        try:
-            int(token)
-        except ValueError:
-            break
-    return ParseError(f"expected an integer, got {token!r}", line_no)
-
-
 def _raise_first_repeat(lines: list[str]) -> NoReturn:
     """Raise at the first edge line that repeats an earlier edge.
 
@@ -120,7 +111,6 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
     adj: list[list[int]] | None = None
     ids: list[int] = []
     tau: list[frozenset[int] | None] = []
-    known: dict[tuple[str, ...], frozenset[int]] = {}
     n = m = r = 0
     cap: int | None = None
     cap_line = 0
@@ -140,7 +130,9 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
                     u = int(tokens[1]) - 1
                     v = int(tokens[2]) - 1
                 except ValueError:
-                    raise _not_integer(tokens[1:], line_no) from None
+                    for token in tokens[1:]:
+                        _int(token, line_no)
+                    raise
                 if not (0 <= u < n and 0 <= v < n):
                     raise ParseError(f"endpoint out of range 1..{n}", line_no)
                 if u == v:
@@ -159,19 +151,15 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
                     raise ParseError(f"vertex out of range 1..{n}", line_no)
                 if tau[v] is not None:
                     raise ParseError(f"duplicate degree list for vertex {v + 1}", line_no)
-                # Lists repeat, so each distinct spelling is read and checked
-                # once and its set shared.
-                spelled = tuple(tokens[2:])
-                values = known.get(spelled)
-                if values is None:
-                    try:
-                        values = frozenset(map(int, spelled))
-                    except ValueError:
-                        raise _not_integer(tokens[2:], line_no) from None
-                    if values and (min(values) < 0 or max(values) > r):
-                        d = next(d for d in map(int, spelled) if not 0 <= d <= r)
-                        raise ParseError(f"degree {d} outside 0..{r}", line_no)
-                    known[spelled] = values
+                try:
+                    values = frozenset(map(int, tokens[2:]))
+                except ValueError:
+                    for token in tokens[2:]:
+                        _int(token, line_no)
+                    raise
+                if values and (min(values) < 0 or max(values) > r):
+                    d = next(d for d in map(int, tokens[2:]) if not 0 <= d <= r)
+                    raise ParseError(f"degree {d} outside 0..{r}", line_no)
                 tau[v] = values
             elif kind.startswith("c"):
                 continue
