@@ -44,7 +44,6 @@ from .dsc import (
     anonymize,
     balanced_property,
     block_set,
-    dsc_bound_k,
     dsc_fpt_solve,
     dsc_solve,
     h_index_property,

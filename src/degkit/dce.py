@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
+from .factors import realize_least, solution_threshold
 from .graph import Edge, Graph, induced_subgraph, normalize_edge
 from .nce import least_even_total
 
@@ -433,27 +434,46 @@ def brute_force_solve(
     return recheck(validate_solution, inst, sol, "search answer fails validation")
 
 
+def realize_e_plus(
+    inst: DceInstance, start: int, fallback: Callable[[], set[Edge] | None] | None = None
+) -> set[Edge] | None:
+    """The realization loop on the NCE witnesses of inst from s = start."""
+    degrees = inst.graph.degrees()
+
+    def witness(lo: int) -> tuple[int, list[int]] | None:
+        found = least_even_total(degrees, inst.tau.lists, lo, inst.k)
+        return None if found is None else (found[0], [x - d for x, d in zip(found[1], degrees)])
+
+    return realize_least(inst.graph, witness, start, solution_threshold(inst.r), False, fallback)
+
+
 def solve_e_plus(
     inst: DceInstance, node_limit: int = DEFAULT_NODE_LIMIT
 ) -> EditSolution | None:
-    """Kernelize, refute numerically or search inside the kernel, lift the
-    result.
+    """Kernelize; on the kernel, the numeric NO, the realization of the
+    least witness, then the anchored search up to the threshold r(r+1)^2,
+    and the realization of the least witness from it up; lift the result.
 
-    Returns None exactly for no-instances.
+    Returns None exactly for no-instances, and otherwise a minimum answer:
+    the search leaves to the last step only budgets without a solution
+    below the threshold. node_limit bounds only the search.
     """
     require_edge_addition(inst, "solve_e_plus")
     reduced = kernelize_kr(inst)
     if isinstance(reduced, TrivialNo):
         return None
-    kernel = reduced.instance
-    # s additions raise the degrees by 2s in total, each onto its list, so
-    # without a reachable even total up to 2k the answer is NO.
-    if least_even_total(kernel.graph.degrees(), kernel.tau.lists, 0, kernel.k) is None:
-        return None
-    inner = brute_force_solve(kernel, node_limit)
-    if inner is None:
+    kernel, threshold = reduced.instance, solution_threshold(inst.r)
+
+    def fallback() -> set[Edge] | None:
+        inner = brute_force_solve(replace(kernel, k=min(kernel.k, threshold)), node_limit)
+        if inner is None:
+            return realize_e_plus(kernel, threshold)
+        return {(u, v) for _, u, v in inner.edits}
+
+    edges = realize_e_plus(kernel, 0, fallback)
+    if edges is None:
         return None
     # old_of_new increases, so renamed edges keep u < v.
     old = reduced.old_of_new
-    lifted = additions((old[u], old[v]) for _, u, v in inner.edits)
+    lifted = additions((old[u], old[v]) for u, v in edges)
     return recheck(validate_solution, inst, lifted, "kernel solution does not lift")

@@ -1,11 +1,10 @@
 """Degree-sequence completion with pluggable tuple properties.
 
-A property supplies a membership test on nonincreasing degree tuples, a
+A property supplies a membership test on nonincreasing degree tuples and a
 polynomial solver for its numeric completion problem (the first total of a
-range of increases that increments under a cap reach), and optionally an
-exact realizer of the whole completion problem. The framework contributes
-the block-set search space, the bounded exhaustive solver, the numeric NO,
-and the large-solution branch realized through complement factors.
+range of increases that increments under a cap reach). The framework
+realizes those witnesses through complement factors and contributes the
+block-set search space and the bounded exhaustive solver.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections.abc import Callable, Sequence
 
 from .dce import (
@@ -26,8 +25,8 @@ from .dce import (
     solve_e_plus,
 )
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
+from .factors import realize_least, solution_threshold
 from .graph import Edge, Graph, add_edges, degree_sequence
-from .winwin import realize_demands, realize_large, solution_threshold
 
 # Block-sets above this many vertices are refused: the enumeration over
 # their non-edges would not finish.
@@ -37,7 +36,6 @@ DEFAULT_ENUM_LIMIT = 1_000_000
 Fulfills = Callable[[tuple[int, ...]], bool]
 NumericWitness = tuple[int, list[int]]  # a total increase and its increments
 NscSolver = Callable[[Sequence[int], range, int], "NumericWitness | None"]
-Realizer = Callable[[Graph, int, int], "set[Edge] | None"]
 
 
 @dataclass(frozen=True)
@@ -49,15 +47,14 @@ class PiProperty:
     increments keep every degree at most delta and fulfill the property, or
     None; a degree already above delta gives None.
 
-    `realize(graph, k, delta)`, when given, returns a minimum completion with
-    at most k additions and no degree above delta, or None when there is
-    none; `dsc_solve` then asks it instead of searching.
+    `one_per_total` says that every total has at most one witness, so a
+    witness that does not realize rules its total out.
     """
 
     name: str
     fulfills: Fulfills = field(compare=False)
     nsc_solver: NscSolver = field(compare=False)
-    realize: Realizer | None = field(compare=False, default=None)
+    one_per_total: bool = field(compare=False, default=False)
 
 
 @dataclass(frozen=True)
@@ -174,24 +171,6 @@ def pi_nsc_decide(
     return None if found is None else found[1]
 
 
-# -- bounding the budget by the target maximum degree ---------------------------
-
-
-def dsc_bound_k(inst: DscInstance) -> set[Edge] | None:
-    """Scan totals 2k' from the threshold up; realize the first numeric yes.
-
-    None means that no k' from the threshold up to k has a numeric witness:
-    budgets above the threshold are then useless, and the instance clamps
-    down to it.
-    """
-    threshold = solution_threshold(inst.delta_prime)
-    if inst.k <= threshold:
-        raise InvalidInputError(f"budget {inst.k} not above the threshold {threshold}")
-    totals = range(2 * threshold, 2 * inst.k + 1, 2)
-    found = _numeric_witness(inst.prop, inst.graph.degrees(), totals, inst.delta_prime)
-    return None if found is None else realize_large(inst.graph, found[1], found[0] // 2)
-
-
 def validate_completion(inst: DscInstance, sol: EditSolution) -> None:
     """Raise InvalidInputError unless sol is a valid completion of inst:
     additions only, within budget, the property met, no degree above
@@ -208,49 +187,44 @@ def validate_completion(inst: DscInstance, sol: EditSolution) -> None:
 
 
 def dsc_solve(inst: DscInstance, *, enum_limit: int = DEFAULT_ENUM_LIMIT) -> set[Edge] | None:
-    """Full pipeline: the property's exact realizer when it ships one;
-    otherwise the large-solution branch, the clamp, then the FPT search.
-
-    An instance whose numeric relaxation has no witness at any total 2s, s
-    within the budget, is answered NO before the search; `enum_limit`
-    bounds only the block-set enumeration. Every YES is re-validated on the
-    input.
+    """The numeric NO, then the realization of the least witness (a minimum
+    answer), of the least from Δ'(Δ'+1)^2 up when k exceeds it (within
+    budget only), and the block-set enumeration, bounded by `enum_limit`,
+    on the budget clamped to Δ'(Δ'+1)^2 (minimum). Regular, with one
+    witness per total, tries each next total instead and answers NO after
+    them: its answers are minimum. Every YES is re-validated on the input.
     """
-    if inst.prop.realize is not None:
-        edges = inst.prop.realize(inst.graph, inst.k, inst.delta_prime)
-    else:
-        edges = _search_completion(inst, enum_limit)
+    g, prop, delta = inst.graph, inst.prop, inst.delta_prime
+    threshold, degrees = solution_threshold(delta), g.degrees()
+
+    def witness(lo: int) -> tuple[int, list[int]] | None:
+        found = _numeric_witness(prop, degrees, range(2 * lo, 2 * inst.k + 1, 2), delta)
+        return None if found is None else (found[0] // 2, found[1])
+
+    def fallback() -> set[Edge] | None:
+        if inst.k > threshold:
+            edges = realize_least(g, witness, threshold, threshold, False)
+            if edges is not None:
+                return edges
+        # No completion is as large as the threshold, so the budget clamps.
+        return dsc_fpt_solve(replace(inst, k=min(inst.k, threshold)), enum_limit=enum_limit)
+
+    edges = realize_least(g, witness, 0, threshold, prop.one_per_total, fallback)
     if edges is not None:
         recheck(validate_completion, inst, additions(edges), "completion fails re-validation")
     return edges
-
-
-def _search_completion(inst: DscInstance, enum_limit: int) -> set[Edge] | None:
-    """The large-solution branch, the numeric NO, then the block-set search."""
-    threshold = solution_threshold(inst.delta_prime)
-    edges = dsc_bound_k(inst) if inst.k > threshold else None
-    if edges is not None:
-        return edges
-    work_k = min(inst.k, threshold)
-    # s edge additions under the cap raise the degrees by increments of
-    # total 2s, so without any such numeric witness the answer is NO.
-    totals = range(0, 2 * work_k + 1, 2)
-    if _numeric_witness(inst.prop, inst.graph.degrees(), totals, inst.delta_prime) is None:
-        return None
-    work = DscInstance(inst.graph, work_k, inst.prop, inst.delta_prime)
-    return dsc_fpt_solve(work, enum_limit=enum_limit)
 
 
 # -- built-in properties ---------------------------------------------------------
 
 
 def regular_property() -> PiProperty:
-    """All degrees equal; ships a closed form for the common target degree
-    and an exact realizer.
+    """All degrees equal; ships a closed form for the common target degree.
 
     A regular completion with common degree c is exactly a (c - deg)-factor
-    of the complement, and its n*c - sum(deg) rise is twice its size, so the
-    least c whose factor exists gives a minimum completion.
+    of the complement, and its n*c - sum(deg) rise is twice its size: the
+    one witness of its total. So the least c whose factor exists gives a
+    minimum completion.
     """
 
     def fulfills(t: tuple[int, ...]) -> bool:
@@ -271,23 +245,13 @@ def regular_property() -> PiProperty:
                 return n * c - total, [c - d for d in degrees]
         return None
 
-    def realize(g: Graph, k: int, delta: int) -> set[Edge] | None:
-        # Successive nsc witnesses are the common degrees c, least first.
-        start = 0
-        while (found := nsc(g.degrees(), range(start, 2 * k + 1, 2), delta)) is not None:
-            edges = realize_demands(g, found[1])
-            if edges is not None:
-                return edges
-            start = found[0] + 2
-        return None
-
-    return PiProperty("regular", fulfills, nsc, realize)
+    return PiProperty("regular", fulfills, nsc, one_per_total=True)
 
 
 def h_index_property(ell: int) -> PiProperty:
     """At least ell entries of value at least ell. Lifting the ell largest
     entries to ell is the least rise that works; rises never hurt, so every
-    larger total under the cap works too, spread in index order."""
+    larger total under the cap works too, spread evenly."""
     if ell < 0:
         raise InvalidInputError("h-index bound must be nonnegative")
 
@@ -305,11 +269,15 @@ def h_index_property(ell: int) -> PiProperty:
         fits = totals[bisect_left(totals, least):]
         if not fits or fits[0] > sum(delta - d for d in degrees):
             return None
-        rest = fits[0] - least
-        for v in range(n):
-            lift = min(delta - degrees[v] - x[v], rest)
-            x[v] += lift
-            rest -= lift
+        # Spread the rest one unit per vertex per round, least-raised vertex
+        # first (small rises on many vertices realize more often): all rise
+        # to one level short of the last round, handed out in index order.
+        rest, room = fits[0] - least, [delta - d for d in degrees]
+        level = bisect_left(range(max(x, default=0) + rest + 1), rest,
+                            key=lambda t: sum(max(0, min(r, t) - v) for r, v in zip(room, x)))
+        x = [max(v, min(r, level - 1)) for v, r in zip(x, room)]
+        for v in [v for v in range(n) if x[v] < level <= room[v]][:fits[0] - sum(x)]:
+            x[v] += 1
         return fits[0], x
 
     return PiProperty(f"hindex-{ell}", fulfills, nsc)
@@ -457,16 +425,18 @@ def anonymize(g: Graph, k_anon: int, budget: int) -> set[Edge] | None:
 def solve(inst: DceInstance | DscInstance, limit: int | None = None) -> EditSolution | None:
     """A witness as edits for any instance kind, or None for a no-instance.
 
-    Edge addition is kernelized, then refuted numerically or searched; edge
-    and vertex deletion get the exact anchored search. Regular sequence
-    completion is decided exactly by one complement f-factor per common
-    degree, tried from the least, so its answer is minimum. The other
-    properties run the large-solution branch and the numeric NO, both on
-    their polynomial numeric solvers, then the clamp and the block-set
-    search; an answer of the large branch is within budget but not
-    necessarily minimum. `limit` bounds only the anchored search (nodes) and
-    the block-set enumeration (candidate edge sets); the regular realizer
-    takes none.
+    Edge and vertex deletion get the exact anchored search. Edge addition
+    (on its kernel) and sequence completion run, through
+    `factors.realize_least` on their polynomial numeric solvers:
+      1. the numeric NO: no witness of total 2s for any s up to k;
+      2. the realization of the least witness by one complement f-factor;
+      3. edge addition: the anchored search up to the threshold r(r+1)^2,
+         then the realization of the least witness from it up;
+         sequence completion: that realization from Δ'(Δ'+1)^2 up if k is
+         larger, then the block-set enumeration on k clamped to Δ'(Δ'+1)^2;
+         regular, with one witness per total: each next total instead.
+    Every answer is minimum except a sequence completion realized from the
+    threshold up. `limit` bounds only the exact searches.
     """
     if isinstance(inst, DscInstance):
         edges = dsc_solve(inst) if limit is None else dsc_solve(inst, enum_limit=limit)

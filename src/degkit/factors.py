@@ -1,4 +1,5 @@
-"""Exact f-factors via the Tutte gadget reduction to perfect matching.
+"""Exact f-factors via the Tutte gadget reduction to perfect matching,
+and the loop that realizes numeric witnesses through them.
 
 An f-factor of G is an edge subset in which every vertex v has degree
 exactly f(v). The gadget replaces each vertex by a bipartite cell with
@@ -10,9 +11,10 @@ bijection with f-factors.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable, Sequence
 
-from .errors import InvalidInputError
-from .graph import DemandFunction, Edge, Graph, induced_subgraph
+from .errors import InternalInvariantError, InvalidInputError
+from .graph import DemandFunction, Edge, Graph, complement, induced_subgraph
 from .matching import max_matching
 
 
@@ -136,3 +138,64 @@ def _factor_via_gadget(g: Graph, h: tuple[int, ...]) -> set[Edge] | None:
         mate[a] = b
         mate[b] = a
     return {(u, v) for u, v, a in bridges if mate[a] == partner[a]}
+
+
+def realize_demands(g: Graph, demand: DemandFunction) -> set[Edge] | None:
+    """New edges raising every vertex's degree by exactly its demand, or None.
+
+    The search restricts to the affected vertices and looks for a factor of
+    the complement of the induced subgraph, so returned edges are always
+    disjoint from the existing ones.
+    """
+    n = g.vertex_count
+    demand = tuple(demand)
+    if len(demand) != n:
+        raise InvalidInputError(f"demand vector has length {len(demand)}, expected {n}")
+    if any(x < 0 for x in demand):
+        raise InvalidInputError("demands must be nonnegative")
+    sub, old_of_new = induced_subgraph(g, [v for v in range(n) if demand[v] > 0])
+    factor = f_factor(complement(sub), [demand[v] for v in old_of_new])
+    # old_of_new increases, so renamed edges keep u < v.
+    return None if factor is None else {(old_of_new[u], old_of_new[v]) for u, v in factor}
+
+
+def solution_threshold(r: int) -> int:
+    """r(r+1)^2: a witness of at least that many edges whose final degrees
+    are at most r always realizes, since its affected vertices are then
+    numerous enough for the density condition."""
+    return r * (r + 1) ** 2
+
+
+def realize_least(
+    g: Graph,
+    witness: Callable[[int], "tuple[int, Sequence[int]] | None"],
+    start: int,
+    threshold: int,
+    one_per_total: bool,
+    fallback: Callable[[], "set[Edge] | None"] | None = None,
+) -> set[Edge] | None:
+    """Realize the least numeric witness from s = start up.
+
+    `witness(lo)` gives the least s >= lo within the budget whose total 2s
+    the number problem reaches, with the rise of every vertex, or None.
+    Every solution of s edges is a witness of total 2s, so without any
+    witness the answer is NO, and one that realizes at the least s from 0
+    is a minimum answer. From the threshold up every witness realizes, so a
+    failure there is a defect. Below it, a problem with one witness per
+    total goes on to the next s, since the failure rules s out, and answers
+    NO when none is left; any other leaves the answer to `fallback`.
+    """
+    lo = start
+    while (found := witness(lo)) is not None:
+        s, demand = found
+        edges = realize_demands(g, demand)
+        if edges is not None:
+            return edges
+        if s >= threshold:
+            raise InternalInvariantError(
+                f"realization failed at {s} edges, at or above the threshold {threshold}"
+            )
+        if not one_per_total:
+            return None if fallback is None else fallback()
+        lo = s + 1
+    return None

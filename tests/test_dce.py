@@ -1,12 +1,13 @@
 """Degree-constrained editing: kernel rules and exact solvers."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degkit import dce
+from degkit import dce, factors
 from degkit.dce import (
     EditKind,
     EditSolution,
@@ -26,6 +27,7 @@ from degkit.dce import (
 from degkit.dsc import solve
 from degkit.errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from degkit.graph import Graph
+from degkit.nce import least_even_total
 
 from oracles import all_pairs, naive_dce_min_edits
 
@@ -333,6 +335,7 @@ class TestSolveEPlus:
             via_kernel = solve_e_plus(inst)
             assert (direct is None) == (via_kernel is None)
             if via_kernel is not None:
+                assert len(via_kernel) == len(direct)
                 validate_solution(inst, via_kernel)
 
 
@@ -344,6 +347,60 @@ class TestSolveEPlus:
         lists = [{1}] * 10 + [{1}] * 3 + [{0, 2}] * 20 + [{0}] * 7
         inst = make_dce(Graph(40, edges), 6, 3, lists)
         assert solve(inst, limit=200_000) is None
+
+    def test_failed_least_witness_searches_before_the_threshold(self):
+        # The adjacent pair must both reach degree 2, so the least witness
+        # (the pair rising by one each) does not realize. At the budget 18 =
+        # r(r+1)^2 a witness of 18 edges would, but the search first finds
+        # the minimum: both join one third vertex.
+        lists = [{2}, {2}] + [{0, 2}] * 40
+        inst = make_dce(Graph(42, [(0, 1)]), 18, 2, lists)
+        sol = solve_e_plus(inst)
+        assert sol is not None and len(sol) == 2
+        validate_solution(inst, sol)
+        assert brute_force_solve(make_dce(Graph(42, [(0, 1)]), 1, 2, lists)) is None
+
+    def test_failed_realization_at_the_threshold_is_a_defect(self, monkeypatch):
+        # Ten isolated vertices that must each gain one edge: the least
+        # witness has 5 edges, above the threshold 4 of r = 1, where every
+        # witness realizes.
+        monkeypatch.setattr(factors, "realize_demands", lambda *args: None)
+        with pytest.raises(InternalInvariantError):
+            solve_e_plus(make_dce(Graph(10), 5, 1, [{1}] * 10))
+
+
+def probe_eplus_instance(rng: random.Random):
+    """G(n, p) with n from 30 to 80 and r the maximum degree plus 1 to 3; a
+    vertex keeps its degree as its list or gets one or two values from its
+    degree up to r; the budget is at most 3n."""
+    n = rng.randrange(30, 81)
+    p = rng.choice([0.05, 0.1, 0.2])
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    r = g.max_degree() + rng.randrange(1, 4)
+    lists = []
+    for d in g.degrees():
+        if rng.random() < 0.5:
+            lists.append({d})
+        else:
+            lists.append(set(rng.sample(range(d, r + 1), rng.randint(1, min(2, r + 1 - d)))))
+    return make_dce(g, rng.randrange(0, 3 * n + 1), r, lists)
+
+
+def test_probe_instance_is_decided_minimally():
+    # The fourth instance of the probe (n = 50, k = 148, r = 16): the
+    # anchored search alone exceeds 300,000 nodes, while its least numeric
+    # witness realizes, and no solution has fewer edges than that total.
+    rng = random.Random(5)
+    for _ in range(4):
+        inst = probe_eplus_instance(rng)
+    assert (inst.graph.vertex_count, inst.k, inst.r) == (50, 148, 16)
+    start = time.perf_counter()
+    sol = solve(inst, limit=300_000)
+    assert time.perf_counter() - start < 1.0
+    assert sol is not None
+    validate_solution(inst, sol)
+    least, _ = least_even_total(inst.graph.degrees(), inst.tau.lists, 0, inst.k)
+    assert len(sol) == least
 
 
 class TestValidation:

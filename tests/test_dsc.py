@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degkit import dsc
+from degkit import dsc, factors
 from degkit.dce import EditSolution, additions
 from degkit.dsc import (
     DscInstance,
@@ -15,7 +15,6 @@ from degkit.dsc import (
     anonymize,
     balanced_property,
     block_set,
-    dsc_bound_k,
     dsc_fpt_solve,
     dsc_solve,
     h_index_property,
@@ -25,6 +24,7 @@ from degkit.dsc import (
     validate_completion,
 )
 from degkit.errors import InternalInvariantError, InvalidInputError, ResourceLimitError
+from degkit.factors import realize_least, solution_threshold
 from degkit.generators import gen_random_graph
 from degkit.graph import Graph, add_edges, degree_sequence
 
@@ -170,10 +170,24 @@ def test_numeric_solvers_find_the_first_total(case, start, step):
     assert (None if found is None else found[0]) == expect, (prop.name, degrees, totals, delta)
 
 
+def regular_witness(g: Graph, k: int, delta: int):
+    """regular's numeric witnesses as the realization loop walks them."""
+
+    def witness(lo):
+        found = regular_property().nsc_solver(g.degrees(), range(2 * lo, 2 * k + 1, 2), delta)
+        return None if found is None else (found[0] // 2, found[1])
+
+    return witness
+
+
 class TestBoundK:
+    """The realization loop from the threshold delta'(delta' + 1)^2 up, and
+    the clamp below it."""
+
     def test_ten_isolated_large_yes(self):
-        inst = DscInstance(Graph(10), 5, regular_property(), 1)
-        edges = dsc_bound_k(inst)
+        # From the threshold 4 of delta' = 1 on, the one witness is the
+        # common degree 1: a perfect matching.
+        edges = realize_least(Graph(10), regular_witness(Graph(10), 5, 1), 4, 4, True)
         assert edges is not None
         final = add_edges(Graph(10), edges)
         assert degree_sequence(final) == (1,) * 10
@@ -181,26 +195,39 @@ class TestBoundK:
 
     def test_unsatisfiable_clamps(self):
         # Nine isolated vertices can never become 1-regular (odd parity),
-        # and delta' = 1 blocks every other regular target, so the budget
-        # clamps to the threshold.
-        inst = DscInstance(Graph(9), 6, regular_property(), 1)
-        assert dsc_bound_k(inst) is None
+        # and delta' = 1 blocks every other regular target from the
+        # threshold on, so the budget clamps to the threshold.
+        assert realize_least(Graph(9), regular_witness(Graph(9), 6, 1), 4, 4, True) is None
 
     def test_guard_below_threshold(self):
-        inst = DscInstance(Graph(10), 4, regular_property(), 1)
-        with pytest.raises(InvalidInputError):
-            dsc_bound_k(inst)
+        # The adjacent pair cannot both rise by one: below the threshold
+        # that is no defect and the search decides, at the threshold it is.
+        g = Graph(2, [(0, 1)])
+
+        def witness(lo):
+            return (1, [1, 1]) if lo <= 1 else None
+
+        assert realize_least(g, witness, 0, 4, False) is None
+        assert realize_least(g, witness, 0, 4, False, lambda: {(0, 1)}) == {(0, 1)}
+        with pytest.raises(InternalInvariantError):
+            realize_least(g, witness, 0, 1, False)
 
     def test_witness_respects_cap(self):
+        # Random matchings, whose 1-regular completion often lies at or
+        # above the threshold 4 of delta' = 1.
         rng = random.Random(44)
+        large = 0
         for _ in range(40):
             n = rng.randrange(8, 14)
-            inst = DscInstance(Graph(n), rng.randrange(5, 9), regular_property(), 1)
-            edges = dsc_bound_k(inst)
-            if edges is not None:
+            g = Graph(n, [(2 * i, 2 * i + 1) for i in range(rng.randrange(0, 3))])
+            inst = DscInstance(g, rng.randrange(5, 9), regular_property(), 1)
+            edges = dsc_solve(inst)
+            if edges:
+                large += len(edges) >= solution_threshold(1)
                 final = add_edges(inst.graph, edges)
                 assert final.max_degree() <= 1
                 assert regular_property().fulfills(degree_sequence(final))
+        assert large >= 5
 
 
 class TestDscSolve:
@@ -227,7 +254,7 @@ class TestDscSolve:
 
     def test_large_budget_star_is_fast(self):
         # Already the least common degree 199 needs a rise above 2k, so the
-        # realizer stops at once instead of scanning degrees up to the cap.
+        # loop tries no witness instead of scanning degrees up to the cap.
         star = Graph(200, [(0, v) for v in range(1, 200)])
         start = time.perf_counter()
         assert solve(DscInstance(star, 8000, regular_property())) is None
@@ -236,7 +263,7 @@ class TestDscSolve:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_regular_without_numeric_witness_is_no(self, seed):
         # No common degree c >= max degree has 24c - sum(d) even and at most
-        # 2k, so the realizer tries no factor; enumerating the block-set
+        # 2k, so the loop tries no factor; enumerating the block-set
         # instead exceeds the candidate limit.
         g = gen_random_graph(24, 0.3, seed)
         inst = DscInstance(g, 4, regular_property(), g.max_degree() + 4)
@@ -273,32 +300,45 @@ class TestDscSolve:
         assert len(calls) == 1
 
     def test_wrong_large_answer_is_a_defect(self, monkeypatch):
-        # Budget 5 is above the threshold 4 of delta' = 1, so the large
-        # branch answers; the two edges lift vertex 0 alone to degree 2,
-        # above the cap.
+        # The least witness, common degree 1, lies at the threshold 4 of
+        # delta' = 1; the two edges lift vertex 2 alone to degree 2, above
+        # the cap.
         calls = []
 
         def wrong(*args):
             calls.append(args)
-            return {(0, 1), (0, 2)}
+            return {(2, 3), (2, 4)}
 
-        monkeypatch.setattr(dsc, "realize_large", wrong)
+        monkeypatch.setattr(factors, "realize_demands", wrong)
         with pytest.raises(InternalInvariantError):
-            dsc_solve(DscInstance(Graph(10), 5, anonymity_property(2), 1))
+            dsc_solve(DscInstance(Graph(10, [(0, 1)]), 5, regular_property(), 1))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "g, prop",
+        [(Graph(10, [(0, 1)]), regular_property()), (Graph(10), anonymity_property(2))],
+        ids=["regular", "anon-2"],
+    )
+    def test_failed_large_realization_is_a_defect(self, monkeypatch, g, prop):
+        # From the threshold 4 of delta' = 1 on a witness always realizes:
+        # regular's least witness lies there, and anon-2's empty witness
+        # failing sends the loop there.
+        monkeypatch.setattr(factors, "realize_demands", lambda *args: None)
+        with pytest.raises(InternalInvariantError):
+            dsc_solve(DscInstance(g, 5, prop, 1))
+
     def test_wrong_realized_answer_is_a_defect(self, monkeypatch):
-        # The graph is 1-regular, so the realizer asks for the zero factor;
+        # The graph is 1-regular, so the loop asks for the zero factor;
         # the edge 0-2 leaves degrees 2, 1, 2, 1.
-        monkeypatch.setattr(dsc, "realize_demands", lambda *args: {(0, 2)})
+        monkeypatch.setattr(factors, "realize_demands", lambda *args: {(0, 2)})
         with pytest.raises(InternalInvariantError):
             dsc_solve(DscInstance(Graph(4, [(0, 1), (2, 3)]), 1, regular_property()))
 
     def test_regular_skips_the_search(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("the regular realizer must decide alone")
+            raise AssertionError("regular must decide without searching")
 
-        for name in ("dsc_fpt_solve", "dsc_bound_k", "pi_nsc_decide"):
+        for name in ("dsc_fpt_solve", "pi_nsc_decide"):
             monkeypatch.setattr(dsc, name, fail)
         assert dsc_solve(DscInstance(path3(), 1, regular_property(), 2)) == {(0, 2)}
         assert dsc_solve(DscInstance(Graph(10), 5, regular_property(), 1)) == set()
@@ -390,6 +430,74 @@ def test_default_cap_restricts_nothing(case):
     got = dsc_solve(DscInstance(g, k, prop))
     assert got == dsc_solve(DscInstance(g, k, prop, g.max_degree() + k))
     assert (got is None) == (brute_dsc(g, k, prop.fulfills) is None)
+
+
+@st.composite
+def _dsc_around_threshold(draw):
+    """delta' in {1, 2}, a budget within two of delta'(delta' + 1)^2, and a
+    graph of maximum degree at most delta', small enough for brute_dsc."""
+    delta = draw(st.integers(1, 2))
+    n = draw(st.integers(0, 6 if delta == 1 else 5))
+    degree = [0] * n
+    edges = []
+    for u, v in all_pairs(n):
+        if degree[u] < delta and degree[v] < delta and draw(st.integers(0, 3)) == 0:
+            edges.append((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    prop = draw(
+        st.sampled_from(
+            [regular_property(), anonymity_property(2), anonymity_property(3),
+             h_index_property(2), balanced_property(1), balanced_property(2)]
+        )
+    )
+    threshold = solution_threshold(delta)
+    return Graph(n, edges), draw(st.integers(threshold - 2, threshold + 2)), delta, prop
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_dsc_around_threshold())
+@example((Graph(5), 4, 1, anonymity_property(3)))
+@example((Graph(4, [(0, 1), (1, 2)]), 16, 2, h_index_property(2)))
+def test_answers_are_minimum_up_to_the_threshold(case):
+    # Above the threshold only a realization from it up may exceed the
+    # minimum; regular's answers never do.
+    g, k, delta, prop = case
+    got = dsc_solve(DscInstance(g, k, prop, delta))
+    expect = brute_dsc(g, k, prop.fulfills, delta)
+    assert (got is None) == (expect is None), (list(g.edges()), k, delta, prop.name)
+    if got is not None:
+        validate_completion(DscInstance(g, k, prop, delta), additions(got))
+        if k <= solution_threshold(delta) or prop.one_per_total:
+            assert len(got) == len(expect), (list(g.edges()), k, delta, prop.name)
+
+
+def probe_anonymize_input(rng: random.Random):
+    """G(n, p) with n from 8 to 300, k_anon from 2 to 4, budget 1 to 60."""
+    n = rng.randrange(8, 301)
+    p = rng.choice([0.02, 0.05, 0.1, 0.3])
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    return g, rng.randrange(2, 5), rng.randrange(1, 61)
+
+
+def test_probe_anonymize_is_decided_minimally():
+    # The eleventh input of the probe (n = 101, k_anon = 3, budget 27): its
+    # block-set exceeds the cap of 64 vertices, while its least numeric
+    # witness realizes, and no completion has fewer edges than that total.
+    rng = random.Random(7)
+    for _ in range(11):
+        g, k_anon, budget = probe_anonymize_input(rng)
+    assert (g.vertex_count, k_anon, budget) == (101, 3, 27)
+    start = time.perf_counter()
+    edges = anonymize(g, k_anon, budget)
+    assert time.perf_counter() - start < 1.0
+    prop = anonymity_property(k_anon)
+    inst = DscInstance(g, budget, prop)
+    validate_completion(inst, additions(edges))
+    least, _ = prop.nsc_solver(g.degrees(), range(0, 2 * budget + 1, 2), inst.delta_prime)
+    assert len(edges) == least // 2 > 0
+    with pytest.raises(ResourceLimitError):
+        dsc_fpt_solve(inst)
 
 
 class TestValidateCompletion:
@@ -564,7 +672,7 @@ class TestBuiltins:
         ids=["hindex-1", "hindex-2", "balanced-40", "balanced-1-n1000"],
     )
     def test_decided_by_the_numeric_solver(self, inst, decided_yes):
-        # Budgets above the threshold 18 of delta' = 2 take the large
+        # Budgets above the threshold 18 of delta' = 2 may take the large
         # branch; 40 isolated vertices are already balanced; 1000 distinct
         # degrees cannot fit under the cap 500, which the numeric NO finds
         # without enumerating. The answer need not be minimum, only valid.
@@ -599,6 +707,22 @@ class TestBuiltins:
         assert (edges is not None) == decided_yes
         if edges is not None:
             validate_completion(inst, additions(edges))
+
+    def test_h_index_spreads_the_rest(self):
+        # One vertex of degree 1 suffices, but an edge raises two vertices:
+        # the rest of the even total goes to a second vertex, not onto the
+        # first, so the least witness realizes as one edge.
+        inst = DscInstance(Graph(40), 19, h_index_property(1), 2)
+        assert pi_nsc_decide(inst.prop, [0] * 40, 2, 2) == [1, 1] + [0] * 38
+        assert dsc_solve(inst) == {(0, 1)}
+
+    def test_h_index_spreads_a_large_rest_fast(self):
+        # A rest of 10^6 over 20,000 vertices: every vertex rises by 50.
+        start = time.perf_counter()
+        x = pi_nsc_decide(h_index_property(3), [5] * 3 + [0] * 20_000, 10**6, 10**6)
+        assert time.perf_counter() - start < 1.0
+        assert x is not None and sum(x) == 10**6
+        assert max(x) - min(x[3:]) <= 1
 
     def test_h_index_dsc_end_to_end(self):
         # One edge plus two isolated vertices; h-index 2 needs two additions

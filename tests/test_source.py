@@ -33,3 +33,20 @@ def test_no_private_imports_between_modules(path):
         if alias.name.startswith("_")
     ]
     assert private == [], f"{path.name} imports private names: {private}"
+
+
+def test_one_function_realizes_demands():
+    # Every completion problem maps its numeric witnesses back to the graph
+    # through the one loop in factors, so no copy of that loop can return.
+    callers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and "realize_demands" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None),
+                    ):
+                        callers.add(f"{path.name}:{fn.name}")
+    assert callers == {"factors.py:realize_least"}

@@ -12,9 +12,10 @@ from degkit.dce import (
     brute_force_solve,
     kernelize_kr,
     make_dce,
+    solve_e_plus,
     validate_solution,
 )
-from degkit import winwin
+from degkit import factors
 from degkit.errors import InternalInvariantError, InvalidInputError
 from degkit.graph import Graph, add_edges
 from degkit.nce import make_nce, nce_traceback
@@ -153,7 +154,7 @@ class TestKernelizeR:
     def test_wrong_large_solution_is_a_defect(self, monkeypatch):
         # Forty vertices that must each gain one edge: a single edge is no
         # solution, and the re-check must report a defect, not bad input.
-        monkeypatch.setattr(winwin, "realize_large", lambda *args: {(0, 1)})
+        monkeypatch.setattr(factors, "realize_demands", lambda *args: {(0, 1)})
         with pytest.raises(InternalInvariantError):
             kernelize_r(make_dce(Graph(40), 20, 1, [{1}] * 40))
 
@@ -251,3 +252,18 @@ def test_kernelize_r_keeps_the_answer(inst):
         assert expect is None
     else:
         assert (brute_force_solve(result.instance) is None) == (expect is None)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_budget_around_threshold())
+@example(make_dce(Graph(8), 5, 1, [{1}] * 8))
+# The adjacent pair cannot take the least witness; a third vertex helps.
+@example(make_dce(Graph(3, [(0, 1)]), 18, 2, [{2}, {2}, {0, 2}]))
+def test_solve_e_plus_is_minimum(inst):
+    lists = [set(s) for s in inst.tau.lists]
+    expect = naive_dce_min_edits(inst.graph, inst.k, lists, "e+")
+    sol = solve_e_plus(inst)
+    assert (sol is None) == (expect is None)
+    if sol is not None:
+        assert len(sol) == expect
+        validate_solution(inst, sol)
