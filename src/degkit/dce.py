@@ -10,7 +10,9 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import compress, repeat
+from operator import contains, lt, not_
 from typing import Any
 
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
@@ -165,10 +167,14 @@ def recheck(
 # -- notation helpers --------------------------------------------------------
 
 
+def _unsatisfied(degs: Sequence[int], lists: Sequence[frozenset[int]]) -> Iterator[int]:
+    """The vertices whose degree is not on their list, in increasing order."""
+    return compress(range(len(degs)), map(not_, map(contains, lists, degs)))
+
+
 def unsatisfied_vertices(inst: DceInstance) -> set[int]:
     """Vertices whose current degree is not on their degree list."""
-    g, tau = inst.graph, inst.tau
-    return {v for v in range(g.vertex_count) if g.degree(v) not in tau[v]}
+    return set(_unsatisfied(inst.graph.degrees(), inst.tau.lists))
 
 
 def vertex_types(inst: DceInstance, v: int) -> frozenset[int]:
@@ -177,20 +183,29 @@ def vertex_types(inst: DceInstance, v: int) -> frozenset[int]:
     return frozenset(t - deg for t in inst.tau[v] if t >= deg)
 
 
+def _keep_only(inst: DceInstance, keep: Iterable[int]) -> DceInstance:
+    """The instance induced on the vertices keep, renumbered in increasing
+    order; each kept list shifts down by the neighbors its vertex lost,
+    deg_G(old) - deg_kept(new)."""
+    g, lists = inst.graph, inst.tau.lists
+    sub, old_of_new = induced_subgraph(g, keep)
+    degs = g.degrees()
+    kept = []
+    for old, deg in zip(old_of_new, sub.degrees()):
+        shift = degs[old] - deg
+        kept.append(frozenset(t - shift for t in lists[old] if t >= shift))
+    return DceInstance(sub, inst.k, DegreeListFunction(inst.r, tuple(kept)), inst.op_kind)
+
+
 def safely_remove(inst: DceInstance, vertices: Iterable[int]) -> DceInstance:
-    """Delete the vertices and shift survivors' lists down by lost neighbors."""
+    """Delete the vertices and shift each survivor's list down by the number
+    of neighbors it lost, deg_G(v) - deg_{G - vertices}(v)."""
+    n = inst.graph.vertex_count
     removed = set(vertices)
     for v in removed:
-        if not (0 <= v < inst.graph.vertex_count):
+        if not (0 <= v < n):
             raise InvalidInputError(f"vertex {v} out of range")
-    sub, old_of_new = induced_subgraph(
-        inst.graph, (v for v in range(inst.graph.vertex_count) if v not in removed)
-    )
-    lists = []
-    for old in old_of_new:
-        shift = sum(1 for w in inst.graph.adj[old] if w in removed)
-        lists.append(frozenset(t - shift for t in inst.tau[old] if t >= shift))
-    return DceInstance(sub, inst.k, DegreeListFunction(inst.r, tuple(lists)), inst.op_kind)
+    return _keep_only(inst, [v for v in range(n) if v not in removed])
 
 
 # -- kernelization for edge addition ------------------------------------------
@@ -203,52 +218,56 @@ def require_edge_addition(inst: DceInstance, op: str) -> None:
 
 def core_set(inst: DceInstance) -> set[int]:
     """All unsatisfied vertices plus up to alpha = k(max_degree + 2) satisfied
-    vertices per positive type, chosen by a single pass with one counter per
-    type. Runs in O(m + |tau|) time."""
+    vertices per positive type, with one counter per type.
+
+    One scan takes the unsatisfied vertices; the counter loop then visits,
+    in increasing order, only the vertices with two or more list entries,
+    since a satisfied vertex with one entry has no positive type.
+    """
     require_edge_addition(inst, "core_set")
-    g, tau, r = inst.graph, inst.tau, inst.r
-    alpha = inst.k * (g.max_degree() + 2)
-    counters = [0] * (r + 1)
-    chosen: set[int] = set()
-    for v in range(g.vertex_count):
-        deg = g.degree(v)
-        satisfied = False
-        types = []
-        for t in tau[v]:
-            if t > deg:
-                types.append(t - deg)
-            elif t == deg:
-                satisfied = True
-        if not satisfied:
-            chosen.add(v)
+    degs, lists = inst.graph.degrees(), inst.tau.lists
+    alpha = inst.k * (inst.graph.max_degree() + 2)
+    counters = [0] * (inst.r + 1)
+    chosen = set(_unsatisfied(degs, lists))
+    for v in compress(range(len(lists)), map(lt, repeat(1), map(len, lists))):
+        deg = degs[v]
+        lst = lists[v]
+        if deg not in lst:
             continue
-        if any(counters[i] < alpha for i in types):
+        wanted = False
+        for t in lst:
+            if t > deg:
+                i = t - deg
+                if counters[i] < alpha:
+                    wanted = True
+                counters[i] += 1
+        if wanted:
             chosen.add(v)
-        for i in types:
-            counters[i] += 1
     return chosen
 
 
 def rule2_check(inst: DceInstance) -> TrivialNo | None:
     """Trivial no if more than 2k vertices are unsatisfied or some vertex
-    already exceeds every degree on its list (empty lists always do)."""
+    already exceeds every degree on its list (empty lists always do).
+
+    Only unsatisfied vertices can overshoot; they are checked in increasing
+    order up to the (2k+1)-th, whose overshoot is reported before the count.
+    """
     require_edge_addition(inst, "rule2_check")
-    g, tau = inst.graph, inst.tau
-    unsat = 0
-    for v in range(g.vertex_count):
-        deg = g.degree(v)
-        lst = tau[v]
-        if not lst or deg > max(lst):
+    degs, lists = inst.graph.degrees(), inst.tau.lists
+    limit = 2 * inst.k
+    for count, v in enumerate(_unsatisfied(degs, lists), 1):
+        lst = lists[v]
+        if not lst or degs[v] > max(lst):
             return TrivialNo(f"vertex {v} overshoots its degree list")
-        if deg not in lst:
-            unsat += 1
-            if unsat > 2 * inst.k:
-                return TrivialNo(f"more than {2 * inst.k} unsatisfied vertices")
+        if count > limit:
+            return TrivialNo(f"more than {limit} unsatisfied vertices")
     return None
 
 
 def kernelize_kr(inst: DceInstance) -> Kernel | TrivialNo:
-    """The (k, r)-parameter kernel: one overshoot check, one core-set pass.
+    """The (k, r)-parameter kernel: one overshoot check, one core-set pass,
+    and the instance induced on the kept core set with shifted lists.
 
     A returned kernel has at most 2k + rk(r+2) vertices and is a
     yes-instance exactly when the input is.
@@ -257,10 +276,8 @@ def kernelize_kr(inst: DceInstance) -> Kernel | TrivialNo:
     no = rule2_check(inst)
     if no is not None:
         return no
-    keep = core_set(inst)
-    removed = [v for v in range(inst.graph.vertex_count) if v not in keep]
-    reduced = safely_remove(inst, removed)
-    return Kernel(reduced, tuple(sorted(keep)))
+    keep = sorted(core_set(inst))
+    return Kernel(_keep_only(inst, keep), tuple(keep))
 
 
 # -- exhaustive solving -------------------------------------------------------
@@ -308,7 +325,7 @@ def _search_edges(inst: DceInstance, budget: _Budget, adding: bool) -> list[Edge
     g, tau, n = inst.graph, inst.tau, inst.graph.vertex_count
     degs = list(g.degrees())
     targets = [sorted(tau[v]) for v in range(n)]
-    unsat = {v for v in range(n) if degs[v] not in tau[v]}
+    unsat = set(_unsatisfied(degs, tau.lists))
     changed: set[Edge] = set()
     sign = 1 if adding else -1
     what = "edge addition" if adding else "edge deletion"

@@ -9,7 +9,14 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Sequence
 
-from degkit.dce import DceInstance, EditKind, make_dce
+from degkit.dce import (
+    DceInstance,
+    DegreeListFunction,
+    EditKind,
+    Kernel,
+    TrivialNo,
+    make_dce,
+)
 from degkit.dsc import (
     DscInstance,
     PiProperty,
@@ -161,6 +168,81 @@ def naive_dce_min_edits(g: Graph, k: int, tau: Sequence[set[int]], op: str) -> i
             if ok:
                 return size
     return None
+
+
+# -- the type-set kernel, one vertex at a time --------------------------------
+
+
+def reference_safely_remove(inst: DceInstance, vertices) -> DceInstance:
+    """Delete the vertices; shift each survivor's list down by the number of
+    removed neighbors it had, counted one by one."""
+    g = inst.graph
+    removed = set(vertices)
+    for v in removed:
+        if not (0 <= v < g.vertex_count):
+            raise InvalidInputError(f"vertex {v} out of range")
+    kept = [v for v in range(g.vertex_count) if v not in removed]
+    new_of_old = {old: new for new, old in enumerate(kept)}
+    edges = [(new_of_old[u], new_of_old[v]) for u, v in g.edges() if not {u, v} & removed]
+    sub = Graph(len(kept), edges)
+    lists = []
+    for old in kept:
+        shift = sum(1 for w in g.adj[old] if w in removed)
+        lists.append(frozenset(t - shift for t in inst.tau[old] if t >= shift))
+    return DceInstance(sub, inst.k, DegreeListFunction(inst.r, tuple(lists)), inst.op_kind)
+
+
+def reference_core_set(inst: DceInstance) -> set[int]:
+    """Every unsatisfied vertex, then each satisfied vertex in increasing
+    order while some counter of its positive types is below k(max_degree + 2)."""
+    g, tau, r = inst.graph, inst.tau, inst.r
+    alpha = inst.k * (g.max_degree() + 2)
+    counters = [0] * (r + 1)
+    chosen: set[int] = set()
+    for v in range(g.vertex_count):
+        deg = g.degree(v)
+        satisfied = False
+        types = []
+        for t in tau[v]:
+            if t > deg:
+                types.append(t - deg)
+            elif t == deg:
+                satisfied = True
+        if not satisfied:
+            chosen.add(v)
+            continue
+        if any(counters[i] < alpha for i in types):
+            chosen.add(v)
+        for i in types:
+            counters[i] += 1
+    return chosen
+
+
+def reference_rule2_check(inst: DceInstance) -> TrivialNo | None:
+    """Every vertex in increasing order: an overshoot or empty list, then the
+    count of unsatisfied vertices against 2k."""
+    g, tau = inst.graph, inst.tau
+    unsat = 0
+    for v in range(g.vertex_count):
+        deg = g.degree(v)
+        lst = tau[v]
+        if not lst or deg > max(lst):
+            return TrivialNo(f"vertex {v} overshoots its degree list")
+        if deg not in lst:
+            unsat += 1
+            if unsat > 2 * inst.k:
+                return TrivialNo(f"more than {2 * inst.k} unsatisfied vertices")
+    return None
+
+
+def reference_kernelize_kr(inst: DceInstance) -> Kernel | TrivialNo:
+    """Rule 2, then every vertex outside the core set removed."""
+    no = reference_rule2_check(inst)
+    if no is not None:
+        return no
+    keep = reference_core_set(inst)
+    removed = [v for v in range(inst.graph.vertex_count) if v not in keep]
+    return Kernel(reference_safely_remove(inst, removed), tuple(sorted(keep)))
 
 
 # -- source problems for the hardness reductions ---------------------------

@@ -29,7 +29,14 @@ from degkit.errors import InternalInvariantError, InvalidInputError, ResourceLim
 from degkit.graph import Graph
 from degkit.nce import least_even_total
 
-from oracles import all_pairs, naive_dce_min_edits
+from oracles import (
+    all_pairs,
+    naive_dce_min_edits,
+    reference_core_set,
+    reference_kernelize_kr,
+    reference_rule2_check,
+    reference_safely_remove,
+)
 
 
 def triple_instance(k: int = 3):
@@ -157,6 +164,25 @@ class TestRule2:
     def test_triple_passes(self):
         assert rule2_check(triple_instance()) is None
 
+    def test_overshoot_before_the_count_names_its_vertex(self):
+        # Vertex 0 is unsatisfied; vertex 1 (degree 1, list {0}) is the second.
+        inst = make_dce(Graph(5, [(1, 4)]), 1, 1, [{1}, {0}, {1}, {1}, {1}])
+        assert rule2_check(inst) == TrivialNo("vertex 1 overshoots its degree list")
+
+    def test_overshoot_after_the_count_is_not_reached(self):
+        # Vertices 0 to 2 are unsatisfied; vertex 3 would overshoot.
+        inst = make_dce(Graph(5, [(3, 4)]), 1, 1, [{1}, {1}, {1}, {0}, {1}])
+        assert rule2_check(inst) == TrivialNo("more than 2 unsatisfied vertices")
+
+    def test_overshoot_of_the_vertex_over_the_count_wins(self):
+        # Vertices 0 and 1 are unsatisfied; vertex 2 is the third and overshoots.
+        inst = make_dce(Graph(3, [(1, 2)]), 1, 2, [{1}, {2}, {0}])
+        assert rule2_check(inst) == TrivialNo("vertex 2 overshoots its degree list")
+
+    def test_empty_list_after_satisfied_vertices_overshoots(self):
+        inst = make_dce(Graph(3), 1, 1, [{0}, {0}, set()])
+        assert rule2_check(inst) == TrivialNo("vertex 2 overshoots its degree list")
+
 
 class TestKernelizeKr:
     def test_hundred_isolated(self):
@@ -220,6 +246,57 @@ def test_kernelize_kr_keeps_the_answer(inst):
     assert kernel.graph.vertex_count <= 2 * k + r * k * (r + 2)
     got = naive_dce_min_edits(kernel.graph, kernel.k, [set(s) for s in kernel.tau.lists], "e+")
     assert (got is None) == (expect is None)
+
+
+# Each instance draws its lists from one mix: all satisfied (the counters
+# fill up), some unsatisfied without overshoot (the 2k count decides), or
+# anything, empty lists and entries below the degree included.
+_LIST_MIXES = (
+    ("exact", "types", "types", "types"),
+    ("exact", "types", "types", "above"),
+    ("empty", "exact", "one", "types", "above", "any"),
+)
+
+
+@st.composite
+def _kernel_rule_instance(draw):
+    """Edge-addition instances with empty lists, one-entry lists, entries
+    below the degree, budgets from 0 and often more than 2k unsatisfied
+    vertices."""
+    n = draw(st.integers(0, 24))
+    pairs = all_pairs(n)
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=n)) if pairs else set()
+    g = Graph(n, edges)
+    r = g.max_degree() + draw(st.integers(1, 3))
+    mix = draw(st.sampled_from(_LIST_MIXES))
+    lists = []
+    for deg in g.degrees():
+        kind = draw(st.sampled_from(mix))
+        if kind == "empty":
+            lists.append(set())
+        elif kind == "exact":
+            lists.append({deg})
+        elif kind == "one":
+            lists.append({draw(st.integers(0, r))})
+        elif kind == "types":
+            lists.append({deg} | draw(st.sets(st.integers(deg + 1, r), max_size=3)))
+        elif kind == "above":
+            lists.append(draw(st.sets(st.integers(deg + 1, r), min_size=1, max_size=3)))
+        else:
+            lists.append(draw(st.sets(st.integers(0, r), max_size=4)))
+    return make_dce(g, draw(st.integers(0, 3)), r, lists)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(inst=_kernel_rule_instance(), data=st.data())
+def test_kernel_rules_match_the_reference(inst, data):
+    assert rule2_check(inst) == reference_rule2_check(inst)
+    assert core_set(inst) == reference_core_set(inst)
+    # Kernel equality covers the graph, k, every list in order and old_of_new.
+    assert kernelize_kr(inst) == reference_kernelize_kr(inst)
+    n = inst.graph.vertex_count
+    removed = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
+    assert safely_remove(inst, removed) == reference_safely_remove(inst, removed)
 
 
 @st.composite
