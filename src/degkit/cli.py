@@ -40,6 +40,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from None
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text)
@@ -108,11 +115,7 @@ def _cmd_nce(args) -> int:
 def _cmd_ffactor(args) -> int:
     inst = _load(args.instance)
     g = inst.graph
-    if args.demands:
-        demands = [int(tok) for tok in args.demands.split(",")]
-    else:
-        demands = [args.uniform] * g.vertex_count
-    factor = f_factor(g, demands)
+    factor = f_factor(g, args.demands or [args.uniform] * g.vertex_count)
     if factor is None:
         _emit("NO\n", args.output)
     else:
@@ -124,9 +127,7 @@ def _cmd_ffactor(args) -> int:
 
 def _cmd_reduce(args) -> int:
     inst = _load(args.instance)
-    cover = None
-    if args.cover:
-        cover = {int(tok) - 1 for tok in args.cover.split(",")}
+    cover = None if args.cover is None else {v - 1 for v in args.cover}
     out = gen_from_reduction(args.source, inst.graph, args.size, cover)
     lines = [
         f"c reduction {args.source} h={args.size} from {args.instance}",
@@ -236,7 +237,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ffactor", parents=[output], help="exact-degree subgraph")
     p.add_argument("instance")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--demands", help="comma-separated per-vertex degrees")
+    group.add_argument("--demands", type=_int_list, help="comma-separated per-vertex degrees")
     group.add_argument("--uniform", type=int, help="same target degree everywhere")
     p.set_defaults(func=_cmd_ffactor)
 
@@ -244,7 +245,7 @@ def build_parser() -> _Parser:
     p.add_argument("instance")
     p.add_argument("--from", dest="source", choices=REDUCTION_KINDS, required=True)
     p.add_argument("--size", type=int, required=True, help="h of the source problem")
-    p.add_argument("--cover", help="comma-separated 1-based cover vertices")
+    p.add_argument("--cover", type=_int_list, help="comma-separated 1-based cover vertices")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser(

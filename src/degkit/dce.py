@@ -147,8 +147,8 @@ def validate_solution(inst: DceInstance, sol: EditSolution) -> None:
             delta = 1 if edit[0] == "add" else -1
             degs[e[0]] += delta
             degs[e[1]] += delta
-    for v in range(n):
-        if v not in removed and degs[v] not in tau[v]:
+    for v in _unsatisfied(degs, tau.lists):
+        if v not in removed:
             raise InvalidInputError(f"vertex {v} ends at degree {degs[v]} off its list")
 
 
@@ -284,15 +284,13 @@ def kernelize_kr(inst: DceInstance) -> Kernel | TrivialNo:
 
 
 def _min_shift(sorted_targets: list[int], deg: int, budget: int, sign: int) -> int | None:
-    """Cheapest |change| to land on a target, moving up (+1) or down (-1)."""
+    """Cheapest |change| to land on a target, moving up (+1) or down (-1),
+    from a degree that is not a target."""
+    i = bisect_left(sorted_targets, deg)
     if sign > 0:
-        i = bisect_left(sorted_targets, deg)
         if i < len(sorted_targets) and sorted_targets[i] - deg <= budget:
             return sorted_targets[i] - deg
         return None
-    i = bisect_left(sorted_targets, deg)
-    if i < len(sorted_targets) and sorted_targets[i] == deg:
-        return 0
     if i > 0 and deg - sorted_targets[i - 1] <= budget:
         return deg - sorted_targets[i - 1]
     return None
@@ -387,15 +385,9 @@ def _search_edges(inst: DceInstance, budget: _Budget, adding: bool) -> list[Edge
 def _search_vertex_deletions(inst: DceInstance, budget: _Budget) -> list[int] | None:
     """Anchor at the lowest unsatisfied surviving vertex; it must either be
     deleted itself or lose a current neighbor."""
-    g, tau, n = inst.graph, inst.tau, inst.graph.vertex_count
+    g, lists = inst.graph, inst.tau.lists
     degs = list(g.degrees())
     removed: set[int] = set()
-
-    def lowest_unsat() -> int:
-        for v in range(n):
-            if v not in removed and degs[v] not in tau[v]:
-                return v
-        return -1
 
     def delete(v: int) -> None:
         removed.add(v)
@@ -409,7 +401,7 @@ def _search_vertex_deletions(inst: DceInstance, budget: _Budget) -> list[int] | 
 
     def dfs(left: int) -> bool:
         budget.tick("vertex deletion")
-        v = lowest_unsat()
+        v = next((v for v in _unsatisfied(degs, lists) if v not in removed), -1)
         if v == -1:
             return True
         if left == 0:

@@ -11,9 +11,12 @@ DIMACS-flavored, 1-based indices:
                                              completed degrees, max degree + k
                                              when missing)
 
-Headers with more than MAX_VERTICES vertices, and property parameters
-beyond the one a property takes, are rejected. Solutions are `NO` or
-`YES <count>` followed by one edit per line (`add u v`, `del u v`, `rm v`).
+Every header field is checked on the `p` line, which also rejects more
+than MAX_VERTICES vertices and parameters beyond the one a property
+takes; only the edge count m and the `d` cap against the maximum degree
+wait for the end, since only the whole file shows them. Solutions are
+`NO` or `YES <count>` followed by one edit per line (`add u v`, `del u v`,
+`rm v`).
 
 `parse_instance` reads an instance in one pass over its lines: a token goes
 through int() at most once, each edge lands in its two endpoints' adjacency
@@ -72,7 +75,10 @@ def _parse_property(tokens: list[str], line_no: int) -> PiProperty:
         raise ParseError(f"property {name} needs a parameter", line_no)
     if len(params) > 1:
         raise ParseError("trailing tokens on the problem line", line_no)
-    return _PARAMETERIZED[name](_int(params[0], line_no))
+    try:
+        return _PARAMETERIZED[name](_int(params[0], line_no))
+    except InvalidInputError as exc:
+        raise ParseError(str(exc), line_no) from exc
 
 
 def _int(token: str, line_no: int) -> int:
@@ -106,12 +112,13 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
     both then and at any other fault: the earlier line wins.
     """
     lines = text.splitlines()
-    header: list[str] | None = None
+    problem: str | None = None
     header_line = 0
     adj: list[list[int]] | None = None
     ids: list[int] = []
     tau: list[frozenset[int] | None] = []
-    n = m = r = 0
+    n = m = k = r = 0
+    prop: PiProperty | None = None
     cap: int | None = None
     cap_line = 0
 
@@ -140,9 +147,9 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
                 adj[u].append(ids[v])
                 adj[v].append(ids[u])
             elif kind == "t":
-                if header is None:
+                if problem is None:
                     raise ParseError("degree list before the problem line", line_no)
-                if header[1] != "dce":
+                if problem != "dce":
                     raise ParseError("degree lists apply to dce instances only", line_no)
                 if len(tokens) < 2:
                     raise ParseError("degree-list line needs a vertex", line_no)
@@ -164,13 +171,12 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
             elif kind.startswith("c"):
                 continue
             elif kind == "p":
-                if header is not None:
+                if problem is not None:
                     raise ParseError("duplicate problem line", line_no)
                 if len(tokens) < 5:
                     raise ParseError("problem line needs at least 4 fields", line_no)
                 if tokens[1] == "dce" and len(tokens) < 6:
                     raise ParseError("dce header needs n m k r", line_no)
-                header, header_line = tokens, line_no
                 n, m = _int(tokens[2], line_no), _int(tokens[3], line_no)
                 if tokens[1] == "dce":
                     r = _int(tokens[5], line_no)
@@ -178,16 +184,31 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
                     raise ParseError("n and m must be nonnegative", line_no)
                 if n > MAX_VERTICES:
                     raise ParseError(f"n = {n} exceeds the cap {MAX_VERTICES}", line_no)
+                k = _int(tokens[4], line_no)
+                if tokens[1] == "dce":
+                    op = _OP_TOKENS.get(tokens[6]) if len(tokens) > 6 else EditKind.EDGE_ADDITION
+                    if op is None:
+                        raise ParseError(f"unknown operation {tokens[6]!r}", line_no)
+                    if len(tokens) > 7:
+                        raise ParseError("trailing tokens on the problem line", line_no)
+                    if r < 0:
+                        raise ParseError("degree bound r must be nonnegative", line_no)
+                    tau = [None] * n
+                elif tokens[1] == "dsc":
+                    prop = _parse_property(tokens[5:], line_no)
+                else:
+                    raise ParseError(f"unknown problem kind {tokens[1]!r}", line_no)
+                if k < 0:
+                    raise ParseError("budget k must be nonnegative", line_no)
+                problem, header_line = tokens[1], line_no
                 adj = [[] for _ in range(n)]
                 # One int object per vertex, shared by every list holding it,
                 # keeps the adjacency small and its reads local.
                 ids = list(range(n))
-                if tokens[1] == "dce":
-                    tau = [None] * n
             elif kind == "d":
-                if header is None:
+                if problem is None:
                     raise ParseError("degree cap before the problem line", line_no)
-                if header[1] != "dsc":
+                if problem != "dsc":
                     raise ParseError("a degree cap applies to dsc instances only", line_no)
                 if cap is not None:
                     raise ParseError("duplicate degree cap", line_no)
@@ -202,7 +223,7 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
             _raise_first_repeat(lines)
         raise
 
-    if header is None:
+    if adj is None:
         raise ParseError("missing problem line")
     for ns in adj:
         ns.sort()
@@ -214,39 +235,21 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
             f"header declares {m} edges but {edge_count} were given", header_line
         )
     graph = Graph.from_sorted_adjacency(adj)
-    k = _int(header[4], header_line)
-
-    # Header values the instance constructors reject (a negative budget, a
-    # property parameter out of range) are malformed input too.
-    try:
-        if header[1] == "dce":
-            op = EditKind.EDGE_ADDITION
-            if len(header) >= 7:
-                if header[6] not in _OP_TOKENS:
-                    raise ParseError(f"unknown operation {header[6]!r}", header_line)
-                op = _OP_TOKENS[header[6]]
-            if len(header) > 7:
-                raise ParseError("trailing tokens on the problem line", header_line)
-            missing: frozenset[int] = frozenset()
-            return make_dce(graph, k, r, [missing if s is None else s for s in tau], op)
-        if header[1] == "dsc":
-            prop = _parse_property(header[5:], header_line)
-            if cap is not None and cap < graph.max_degree():
-                raise ParseError(
-                    f"degree cap {cap} below the maximum degree {graph.max_degree()}",
-                    cap_line,
-                )
-            return DscInstance(graph, k, prop, cap)
-    except InvalidInputError as exc:
-        raise ParseError(str(exc), header_line) from exc
-    raise ParseError(f"unknown problem kind {header[1]!r}", header_line)
+    if problem == "dce":
+        missing: frozenset[int] = frozenset()
+        return make_dce(graph, k, r, [missing if s is None else s for s in tau], op)
+    if cap is not None and cap < graph.max_degree():
+        raise ParseError(
+            f"degree cap {cap} below the maximum degree {graph.max_degree()}", cap_line
+        )
+    return DscInstance(graph, k, prop, cap)
 
 
 def _property_spec(prop: PiProperty) -> str:
     name, _, param = prop.name.partition("-")
     if name == "regular":
         return "regular"
-    if name not in ("anon", "hindex", "balanced"):
+    if name not in _PARAMETERIZED:
         raise ParseError(f"property {prop.name!r} has no file syntax")
     return f"{name} {param}"
 

@@ -67,27 +67,18 @@ def gen_random_dce(
 
 
 def gen_cubic(n: int, seed: int) -> Graph:
-    """Random 3-regular simple graph by the pairing model (resample on clashes)."""
+    """Random 3-regular simple graph by the pairing model: Graph() rejects
+    a loop or a repeated pair, and the stubs are drawn again."""
     if n < 4 or n % 2 != 0:
         raise InvalidInputError("cubic graphs need even n >= 4")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(3)]
     while True:
         rng.shuffle(stubs)
-        pairs = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
-        seen: set[Edge] = set()
-        ok = True
-        for u, v in pairs:
-            if u == v:
-                ok = False
-                break
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                ok = False
-                break
-            seen.add(e)
-        if ok:
-            return Graph(n, sorted(seen))
+        try:
+            return Graph(n, zip(stubs[::2], stubs[1::2]))
+        except InvalidInputError:
+            continue
 
 
 def gen_from_reduction(

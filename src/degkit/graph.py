@@ -172,18 +172,15 @@ def add_edges(g: Graph, new_edges: Iterable[Edge]) -> Graph:
 
 
 def remove_edges(g: Graph, old_edges: Iterable[Edge]) -> Graph:
-    """Return G minus the given edges; absent edges are rejected."""
-    gone: dict[int, set[int]] = {}
+    """Return G minus the given edges. A loop or an edge that G lacks, an end
+    outside 0..n-1 included, raises InvalidInputError; a repeat, EdgeConflictError."""
+    n = g.vertex_count
+    gone: set[Edge] = set()
     for u, v in old_edges:
         e = normalize_edge(u, v)
-        if not g.has_edge(*e):
+        if not (0 <= e[0] and e[1] < n and g.has_edge(*e)):
             raise InvalidInputError(f"edge {e} not present")
-        if e[1] in gone.get(e[0], ()):
+        if e in gone:
             raise EdgeConflictError(f"duplicate edge {e} in removal set")
-        gone.setdefault(u, set()).add(v)
-        gone.setdefault(v, set()).add(u)
-    adj = [
-        [w for w in ns if w not in gone[u]] if u in gone else ns
-        for u, ns in enumerate(g.adj)
-    ]
-    return Graph.from_sorted_adjacency(adj)
+        gone.add(e)
+    return Graph(n, [e for e in g.edges() if e not in gone])

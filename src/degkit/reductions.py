@@ -69,6 +69,9 @@ def approx_vertex_cover(g: Graph) -> set[int]:
 
 def twin_classes(g: Graph, x: set[int]) -> list[frozenset[int]]:
     """Partition the vertices outside a cover by their neighborhoods inside it."""
+    for v in x:
+        if not (0 <= v < g.vertex_count):
+            raise InvalidInputError(f"cover vertex {v} out of range for n={g.vertex_count}")
     for u, v in g.edges():
         if u not in x and v not in x:
             raise InvalidInputError(f"edge ({u}, {v}) is not covered by x")

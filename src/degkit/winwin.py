@@ -24,7 +24,8 @@ from .dce import (
     validate_solution,
 )
 from .errors import InvalidInputError
-# realize_demands is re-exported: demand realization belongs to the win-win.
+# realize_demands is re-exported because perfbench/layers.py traces it as
+# winwin.realize_demands and tests/test_bench_layers.py resolves that name.
 from .factors import realize_demands, solution_threshold
 
 

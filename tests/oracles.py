@@ -382,14 +382,20 @@ def _ref_property(tokens: list[str], line_no: int) -> PiProperty:
         raise ParseError(f"unknown property {name!r}", line_no)
     if len(params) != 1:
         raise ParseError(f"property {name} takes one parameter", line_no)
-    return factories[name](_ref_int(params[0], line_no))
+    param = _ref_int(params[0], line_no)
+    try:
+        return factories[name](param)
+    except InvalidInputError as exc:
+        raise ParseError(str(exc), line_no) from exc
 
 
 def reference_parse_instance(text: str) -> DceInstance | DscInstance:
     """The file format read line by line, each fault raised where it is met.
 
-    Edges are checked against a set of pairs as they arrive and again by
-    the checked Graph constructor; degree lists are range-checked here and
+    Every header field is checked on the problem line; only the edge count
+    and the degree cap against the maximum degree wait for the end. Edges
+    are checked against a set of pairs as they arrive and again by the
+    checked Graph constructor; degree lists are range-checked here and
     again by make_dce.
     """
     header: list[str] | None = None
@@ -397,7 +403,9 @@ def reference_parse_instance(text: str) -> DceInstance | DscInstance:
     edges: list[tuple[int, int]] = []
     edge_seen: set[tuple[int, int]] = set()
     lists: dict[int, list[int]] = {}
-    n = m = r = 0
+    n = m = k = r = 0
+    op = EditKind.EDGE_ADDITION
+    prop: PiProperty | None = None
     cap: int | None = None
     cap_line = 0
     ops = {kind.value: kind for kind in EditKind}
@@ -415,14 +423,30 @@ def reference_parse_instance(text: str) -> DceInstance | DscInstance:
                 raise ParseError("problem line needs at least 4 fields", line_no)
             if tokens[1] == "dce" and len(tokens) < 6:
                 raise ParseError("dce header needs n m k r", line_no)
-            header, header_line = tokens, line_no
             n, m = _ref_int(tokens[2], line_no), _ref_int(tokens[3], line_no)
+            k = _ref_int(tokens[4], line_no)
             if tokens[1] == "dce":
                 r = _ref_int(tokens[5], line_no)
             if n < 0 or m < 0:
                 raise ParseError("n and m must be nonnegative", line_no)
             if n > MAX_VERTICES:
                 raise ParseError(f"n = {n} exceeds the cap {MAX_VERTICES}", line_no)
+            if k < 0:
+                raise ParseError("budget k must be nonnegative", line_no)
+            if tokens[1] == "dce":
+                if r < 0:
+                    raise ParseError("degree bound r must be nonnegative", line_no)
+                if len(tokens) > 7:
+                    raise ParseError("trailing tokens on the problem line", line_no)
+                if len(tokens) == 7:
+                    if tokens[6] not in ops:
+                        raise ParseError(f"unknown operation {tokens[6]!r}", line_no)
+                    op = ops[tokens[6]]
+            elif tokens[1] == "dsc":
+                prop = _ref_property(tokens[5:], line_no)
+            else:
+                raise ParseError(f"unknown problem kind {tokens[1]!r}", line_no)
+            header, header_line = tokens, line_no
         elif kind == "e":
             if header is None:
                 raise ParseError("edge before the problem line", line_no)
@@ -473,25 +497,10 @@ def reference_parse_instance(text: str) -> DceInstance | DscInstance:
     if len(edges) != m:
         raise ParseError(f"header declares {m} edges but {len(edges)} were given", header_line)
     graph = Graph(n, edges)
-    k = _ref_int(header[4], header_line)
-    try:
-        if header[1] == "dce":
-            op = EditKind.EDGE_ADDITION
-            if len(header) >= 7:
-                if header[6] not in ops:
-                    raise ParseError(f"unknown operation {header[6]!r}", header_line)
-                op = ops[header[6]]
-            if len(header) > 7:
-                raise ParseError("trailing tokens on the problem line", header_line)
-            return make_dce(graph, k, r, [lists.get(v, []) for v in range(n)], op)
-        if header[1] == "dsc":
-            prop = _ref_property(header[5:], header_line)
-            if cap is not None and cap < graph.max_degree():
-                raise ParseError(
-                    f"degree cap {cap} below the maximum degree {graph.max_degree()}",
-                    cap_line,
-                )
-            return DscInstance(graph, k, prop, cap)
-    except InvalidInputError as exc:
-        raise ParseError(str(exc), header_line) from exc
-    raise ParseError(f"unknown problem kind {header[1]!r}", header_line)
+    if header[1] == "dce":
+        return make_dce(graph, k, r, [lists.get(v, []) for v in range(n)], op)
+    if cap is not None and cap < graph.max_degree():
+        raise ParseError(
+            f"degree cap {cap} below the maximum degree {graph.max_degree()}", cap_line
+        )
+    return DscInstance(graph, k, prop, cap)

@@ -232,6 +232,52 @@ class TestOtherCommands:
     def test_gen_cubic_odd_fails(self, capsys):
         assert main(["gen", "cubic", "--n", "5"]) == 1
 
+    def test_gen_cubic(self, capsys):
+        assert main(["gen", "cubic", "--n", "10", "--seed", "3"]) == 0
+        g = parse_instance(capsys.readouterr().out).graph
+        assert g.vertex_count == 10 and set(g.degrees()) == {3}
+
+    @pytest.mark.parametrize("command", ["kernelize", "nce"])
+    def test_dce_commands_reject_a_dsc_file(self, tmp_path, capsys, command):
+        path = write(tmp_path, "star.dsc", STAR)
+        assert main([command, path]) == 1
+        assert "InvalidInputError" in capsys.readouterr().err
+
+    def test_ffactor_demands(self, tmp_path, capsys):
+        c4 = "p dce 4 4 0 2\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
+        path = write(tmp_path, "c4.dce", c4)
+        assert main(["ffactor", path, "--demands", "2,1,2,1"]) == 0
+        assert capsys.readouterr().out == "NO\n"
+        assert main(["ffactor", path, "--demands", "1,1,1,1"]) == 0
+        assert capsys.readouterr().out.startswith("YES 2")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ffactor", "--demands", "1,x"],
+            ["reduce", "--from", "vc", "--size", "1", "--cover", "1,y"],
+        ],
+    )
+    def test_malformed_integer_list_is_a_usage_error(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "k3.dce", "p dce 3 3 0 2\ne 1 2\ne 2 3\ne 1 3\n")
+        with pytest.raises(SystemExit) as err:
+            main([argv[0], path, *argv[1:]])
+        assert err.value.code == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage: degkit " + argv[0])
+        assert "expected comma-separated integers" in stderr
+        assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("cover", ["1,2,99", "1,2,0"])
+    @pytest.mark.parametrize("source", ["clique-e", "clique-v"])
+    def test_reduce_rejects_a_cover_vertex_out_of_range(self, tmp_path, capsys, cover, source):
+        path = write(tmp_path, "k3.dce", "p dce 3 3 0 2\ne 1 2\ne 2 3\ne 1 3\n")
+        argv = ["reduce", path, "--from", source, "--size", "2", "--cover", cover]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "InvalidInputError" in captured.err and "out of range" in captured.err
+
 
 class TestBenchCommand:
     def test_records_and_error_continuation(self, tmp_path):
@@ -262,6 +308,21 @@ class TestBenchCommand:
         record = json.loads(records_path.read_text().splitlines()[0])
         assert record["vertices_before"] == 100
         assert record["vertices_after"] == 2
+
+    def test_r_kernel_records_trivial_answers(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        lists = "".join(f"t {v} 1\n" for v in range(1, 11))
+        (corpus / "ten.dce").write_text("p dce 10 0 5 1\n" + lists)
+        (corpus / "no.dce").write_text("p dce 1 0 1 1\n")
+        records_path = tmp_path / "r.jsonl"
+        argv = ["bench", str(corpus), "--op", "kernelize-r", "--records", str(records_path)]
+        assert main(argv) == 0
+        records = [json.loads(line) for line in records_path.read_text().splitlines()]
+        by_name = {record["instance"]: record for record in records}
+        assert by_name["ten.dce"]["result"] == "trivial-yes 5"
+        assert by_name["no.dce"]["result"] == "trivial-no"
+        assert by_name["no.dce"]["vertices_after"] == 0
 
     def test_empty_corpus(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -300,6 +361,17 @@ def test_options_a_command_does_not_read_are_rejected(cmd, flag, capsys, tmp_pat
         main(VALID_ARGV[cmd] + [flag])
     assert err.value.code == 1
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_readme_library_sketch_runs():
+    text = README.read_text().split("## Library sketch", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    names: dict = {}
+    exec(block, names)
+    assert len(names["two"].edits) == 2
+    assert len(names["three"].edits) == 3
+    assert isinstance(names["kernel"], degkit.Kernel)
+    assert len(names["edges"]) == 2
 
 
 def test_readme_command_line_block_matches_the_parser():

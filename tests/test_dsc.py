@@ -78,6 +78,12 @@ class TestFptSolve:
         with pytest.raises(ResourceLimitError):
             dsc_fpt_solve(inst)
 
+    def test_enumeration_limit(self):
+        # The empty set and then one more candidate exceed a limit of 1.
+        inst = DscInstance(path3(), 1, regular_property())
+        with pytest.raises(ResourceLimitError, match="exceeded 1 edge sets"):
+            dsc_fpt_solve(inst, enum_limit=1)
+
     def test_rerouting_matches_unrestricted_bruteforce(self):
         rng = random.Random(515)
         props = [regular_property(), anonymity_property(2)]
@@ -251,6 +257,10 @@ class TestDscSolve:
         inst = DscInstance(star3(), 2, regular_property())
         assert inst.delta_prime == star3().max_degree() + 2 == 5
         assert inst == DscInstance(star3(), 2, regular_property(), 5)
+
+    def test_cap_below_the_maximum_degree(self):
+        with pytest.raises(InvalidInputError, match="below the current maximum degree"):
+            DscInstance(star3(), 2, regular_property(), 2)
 
     def test_large_budget_star_is_fast(self):
         # Already the least common degree 199 needs a rise above 2k, so the

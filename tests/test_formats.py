@@ -106,6 +106,23 @@ class TestParseInstance:
         assert err.value.line == 1
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            "p dce 2 1 x 2\ne 1 5",
+            "p foo 2 0 1 2\nt 1 0",
+            "p dsc 1 0 0 regular 9\np dsc 1 0 0 regular",
+            "p dce 2 0 1 -3\nt 1 0",
+            "p dce 2 0 -1 2 e+\nt 1 9",
+            "p dsc 2 0 1 anon 0\nd 0\nd 1",
+        ],
+    )
+    @pytest.mark.parametrize("parse", [parse_instance, reference_parse_instance])
+    def test_header_fault_wins_over_later_lines(self, text, parse):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize(
         "header",
         [
             "p dsc 3 0 1 regular 1",
@@ -243,6 +260,7 @@ def _mutate(draw, kind, lines):
     edges = [f[1:3] for f in fields if f[:1] == ["e"] and len(f) >= 3]
     listed = [f[1] for f in fields if f[:1] == ["t"] and len(f) >= 2]
     headers = [i for i, f in enumerate(fields) if f[:1] == ["p"] and len(f) >= 4 and f[3].isdigit()]
+    problem_lines = [i for i, f in enumerate(fields) if f[:1] == ["p"] and len(f) >= 6]
     if kind == "duplicate" and lines:
         lines.insert(at, lines[some])
     elif kind == "drop" and lines:
@@ -278,18 +296,30 @@ def _mutate(draw, kind, lines):
         lines[some] = " ".join(tokens)
     elif kind == "trailing" and lines:
         lines[some] += draw(st.sampled_from([" 9", " junk"]))
+    elif kind == "bad_header" and problem_lines:
+        # One header field: the kind, k, r or the property name, the
+        # operation or the property parameter, or a token after them.
+        i = problem_lines[0]
+        at, bad = draw(st.sampled_from(
+            [(1, "foo"), (4, "-1"), (4, "x"), (5, "-1"), (5, "x"), (6, "x+"), (6, "0"),
+             (6, "-1"), (7, "9")]
+        ))
+        fields[i][at:at + 1] = [bad]
+        lines[i] = " ".join(fields[i])
     elif kind == "fault_at_end":
         lines.append(draw(st.sampled_from(["e 1 99", "t 1 x", "q", "p dce 1 0 0 0"])))
     return lines
 
 
 # A repeated edge is found after the pass, unlike every other fault, so it
-# is drawn more often, and a fault at the end often follows it.
+# is drawn more often, and a fault at the end often follows it. A header
+# fault must win over the body faults drawn with it, so it is drawn more
+# often too.
 _MUTATIONS = st.sampled_from(
     [
         "duplicate", "drop", "swap", "before_header", "out_of_range", "self_loop",
         "repeat_edge", "repeat_edge", "repeat_edge", "repeat_list", "tab", "comment",
-        "wrong_m", "bad_token", "trailing", "fault_at_end",
+        "wrong_m", "bad_token", "trailing", "fault_at_end", "bad_header", "bad_header",
     ]
 )
 
@@ -301,6 +331,14 @@ def _mutated_text(draw):
         lines = _mutate(draw, kind, lines)
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@st.composite
+def _bad_header_text(draw):
+    lines = _mutate(draw, "bad_header", draw(_valid_lines()))
+    for kind in draw(st.lists(_MUTATIONS, min_size=1, max_size=3)):
+        lines = _mutate(draw, kind, lines)
+    return "\n".join(lines)
 
 
 def _outcome(parse, text):
@@ -327,6 +365,11 @@ class TestParserAgainstReference:
         check()
         # The differential is only as good as its mix of texts.
         assert outcomes == {"accepted", "header", "body"}
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_bad_header_text())
+    def test_header_fault_wins_over_the_body_faults_after_it(self, text):
+        assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
 
 
 class TestRoundTrip:
@@ -428,6 +471,11 @@ class TestSolutions:
         with pytest.raises(ParseError) as err:
             parse_solution(text)
         assert err.value.line == line
+
+    @pytest.mark.parametrize("text", ["", "\n  \n", "c only a comment\n\tc another\n"])
+    def test_empty_solution(self, text):
+        with pytest.raises(ParseError, match="empty solution"):
+            parse_solution(text)
 
     def test_indented_comment(self):
         assert parse_solution("  c x\nNO\n") is None

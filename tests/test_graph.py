@@ -152,6 +152,11 @@ class TestAddRemoveEdges:
         with pytest.raises(InvalidInputError):
             remove_edges(path3(), [(0, 2)])
 
+    @pytest.mark.parametrize("edge", [(-1, 1), (1, -1), (5, 7), (2, 3)])
+    def test_remove_rejects_an_end_out_of_range(self, edge):
+        with pytest.raises(InvalidInputError):
+            remove_edges(path3(), [edge])
+
 
 class TestTrustedConstruction:
     """Operations that build simple graphs by construction skip Graph's

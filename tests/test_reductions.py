@@ -131,6 +131,19 @@ class TestCoverAndTwins:
         with pytest.raises(InvalidInputError):
             twin_classes(k3(), {0})
 
+    @pytest.mark.parametrize("extra", [-1, 3, 98])
+    def test_twin_classes_rejects_a_cover_vertex_out_of_range(self, extra):
+        with pytest.raises(InvalidInputError, match="out of range"):
+            twin_classes(k3(), {0, 1, 2, extra})
+
+    @pytest.mark.parametrize("reduce", [clique_to_dce_eminus, clique_to_dce_vminus])
+    def test_clique_above_the_cover_is_the_canonical_no(self, reduce):
+        # A vertex outside a cover has at most |cover| neighbors, so only
+        # the empty graph meets h > |cover| + 1 with every degree at least h.
+        out = reduce(Graph(0), 2)
+        assert out.provenance == {0: "canonical-no"}
+        assert brute_force_solve(out.instance) is None
+
 
 def _params_eminus(g, x, h):
     ell = max(1, len(twin_classes(g, x)))
