@@ -34,7 +34,8 @@ def f_factor(g: Graph, f: DemandFunction) -> set[Edge] | None:
     """Return an edge set with degree exactly f(v) at every v, or None.
 
     Infeasible demands (negative, exceeding the degree, odd total) yield
-    None rather than an error.
+    None rather than an error. A factor is checked against g and f before it
+    is returned; a miss raises InternalInvariantError.
     """
     n = g.vertex_count
     f = tuple(f)
@@ -66,7 +67,16 @@ def f_factor(g: Graph, f: DemandFunction) -> set[Edge] | None:
     if found is None:
         return None
     factor = set(sub.edges()) - found if flip else found
-    return {_lift(e, old_of_new) for e in factor}
+    lifted = {_lift(e, old_of_new) for e in factor}
+    degree = [0] * n
+    for u, v in lifted:
+        if not g.has_edge(u, v):
+            raise InternalInvariantError(f"factor pair ({u}, {v}) is not an edge")
+        degree[u] += 1
+        degree[v] += 1
+    if degree != list(f):
+        raise InternalInvariantError("factor degrees differ from the demands")
+    return lifted
 
 
 def _lift(e: Edge, old_of_new: tuple[int, ...]) -> Edge:

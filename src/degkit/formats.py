@@ -2,7 +2,7 @@
 
 DIMACS-flavored, 1-based indices:
 
-    c free-form comment
+    c free-form comment                      (the first token is exactly c)
     p dce <n> <m> <k> <r> [e+|e-|v-]        (operation defaults to e+)
     p dsc <n> <m> <k> <property> [params]   (regular | anon K | hindex L | balanced L)
     e <u> <v>
@@ -168,7 +168,7 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
                     d = next(d for d in map(int, tokens[2:]) if not 0 <= d <= r)
                     raise ParseError(f"degree {d} outside 0..{r}", line_no)
                 tau[v] = values
-            elif kind.startswith("c"):
+            elif kind == "c":
                 continue
             elif kind == "p":
                 if problem is not None:
@@ -292,7 +292,8 @@ def parse_solution(text: str) -> EditSolution | None:
     lines = [
         (line_no, line.strip())
         for line_no, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.strip().startswith("c")
+        # Neither blank nor a comment, whose first token is exactly "c".
+        if line.split()[:1] not in ([], ["c"])
     ]
     if not lines:
         raise ParseError("empty solution")

@@ -1,7 +1,8 @@
 """Independent brute-force oracles.
 
-Everything here enumerates; nothing reuses the solver paths under test.
-Sizes are expected to be tiny (n <= ~14, m <= ~18).
+Everything here enumerates, except the networkx matching size for graphs
+beyond enumeration; nothing reuses the solver paths under test. Sizes are
+expected to be tiny (n <= ~14, m <= ~18).
 """
 
 from __future__ import annotations
@@ -58,6 +59,17 @@ def brute_max_matching_size(g: Graph) -> int:
 
     rec(0, frozenset(), 0)
     return best
+
+
+def networkx_max_matching_size(g: Graph) -> int:
+    """The size of a maximum matching by networkx's weighted blossom code,
+    for graphs too large to enumerate."""
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.vertex_count))
+    h.add_edges_from(g.edges())
+    return len(nx.max_weight_matching(h, maxcardinality=True))
 
 
 # -- f-factors -----------------------------------------------------------
@@ -412,7 +424,7 @@ def reference_parse_instance(text: str) -> DceInstance | DscInstance:
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c"):
+        if not line or line.split()[0] == "c":
             continue
         tokens = line.split()
         kind = tokens[0]

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degkit.errors import InvalidInputError
+from degkit import factors
+from degkit.errors import InternalInvariantError, InvalidInputError
 from degkit.factors import f_factor, kt_condition_holds
 from degkit.graph import Graph
 from degkit.matching import max_matching
@@ -107,6 +108,29 @@ class TestFFactor:
         elapsed = time.perf_counter() - start
         assert found is not None and is_valid_factor(g, f, found)
         assert elapsed < 5.0
+
+    def test_fifth_degree_factor_of_a_few_hundred_vertices_is_fast(self):
+        # G(300, 1/2) with f = round(deg/5): the gadget has about 54k
+        # vertices. One single-root augmenting search per exposed vertex took
+        # 18 s on this instance (2-core VM, CPython 3.11); phases of one
+        # forest from all of them take about half a second.
+        g = random_graph(300, 0.5, random.Random(300))
+        f = [round(d / 5) for d in g.degrees()]
+        if sum(f) % 2 == 1:
+            f[0] += 1
+        start = time.perf_counter()
+        found = f_factor(g, f)
+        elapsed = time.perf_counter() - start
+        assert found is not None and is_valid_factor(g, f, found)
+        assert elapsed < 5.0
+
+    @pytest.mark.parametrize("wrong", [{(0, 2)}, {(0, 1)}])
+    def test_a_wrong_factor_is_caught(self, monkeypatch, wrong):
+        # C4 with all demands 1 takes the gadget's answer as it is, so a
+        # non-edge or a short degree there must not come back as a factor.
+        monkeypatch.setattr(factors, "_factor_via_gadget", lambda g, h: set(wrong))
+        with pytest.raises(InternalInvariantError):
+            f_factor(cycle(4), [1, 1, 1, 1])
 
     def test_all_ones_iff_perfect_matching(self):
         rng = random.Random(77)

@@ -285,6 +285,8 @@ def _mutate(draw, kind, lines):
         lines[some] = draw(st.sampled_from(["", "\t", "  "])) + lines[some].replace(" ", "\t")
     elif kind == "comment":
         lines.insert(at, draw(st.sampled_from(["c note", "  c indented", "\tc tabbed", "", "   "])))
+    elif kind == "comment_like":
+        lines.insert(at, draw(st.sampled_from(["cap 5", "c5", "\tcomment"])))
     elif kind == "wrong_m" and headers:
         header = fields[headers[0]]
         header[3] = str(int(header[3]) + draw(st.sampled_from([-1, 1])))
@@ -318,7 +320,7 @@ def _mutate(draw, kind, lines):
 _MUTATIONS = st.sampled_from(
     [
         "duplicate", "drop", "swap", "before_header", "out_of_range", "self_loop",
-        "repeat_edge", "repeat_edge", "repeat_edge", "repeat_list", "tab", "comment",
+        "repeat_edge", "repeat_edge", "repeat_edge", "repeat_list", "tab", "comment", "comment_like",
         "wrong_m", "bad_token", "trailing", "fault_at_end", "bad_header", "bad_header",
     ]
 )
@@ -412,6 +414,15 @@ class TestDegreeCapLine:
     def test_cap_at_the_maximum_degree(self):
         assert parse_instance("p dsc 2 1 3 anon 2\nd 1\ne 1 2\n").delta_prime == 1
 
+    @pytest.mark.parametrize("parse", [parse_instance, reference_parse_instance])
+    @pytest.mark.parametrize("line", ["cap 5", "c5", "comment"])
+    def test_a_word_starting_with_c_is_no_comment(self, parse, line):
+        # Only the token "c" opens a comment, so a misspelled cap line is a
+        # fault rather than a silent default.
+        with pytest.raises(ParseError) as err:
+            parse(f"p dsc 2 0 1 regular\n{line}\n")
+        assert err.value.line == 2
+
     @pytest.mark.parametrize(
         "text, line",
         [
@@ -475,6 +486,11 @@ class TestSolutions:
     @pytest.mark.parametrize("text", ["", "\n  \n", "c only a comment\n\tc another\n"])
     def test_empty_solution(self, text):
         with pytest.raises(ParseError, match="empty solution"):
+            parse_solution(text)
+
+    @pytest.mark.parametrize("text", ["cadd 1 2\nNO\n", "YES 1\ncomment\nadd 1 2\n"])
+    def test_a_word_starting_with_c_is_no_comment(self, text):
+        with pytest.raises(ParseError):
             parse_solution(text)
 
     def test_indented_comment(self):

@@ -1,4 +1,4 @@
-"""Blossom matching against exhaustive enumeration."""
+"""Blossom matching against exhaustive enumeration and against networkx."""
 
 import random
 
@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degkit.errors import InvalidInputError
+from degkit.factors import f_factor
 from degkit.graph import Graph
 from degkit.matching import max_matching
 
-from oracles import brute_max_matching_size
+from oracles import brute_max_matching_size, is_valid_factor, networkx_max_matching_size
 
 
 def cycle(n: int) -> Graph:
@@ -24,14 +25,14 @@ def petersen() -> Graph:
     return Graph(10, outer + spokes + inner)
 
 
-def check(g: Graph, initial=()) -> None:
+def check(g: Graph, initial=(), size=brute_max_matching_size) -> None:
     matching = max_matching(g, initial=initial)
     used = set()
     for u, v in matching:
         assert g.has_edge(u, v)
         assert u not in used and v not in used
         used.update((u, v))
-    assert len(matching) == brute_max_matching_size(g)
+    assert len(matching) == size(g)
 
 
 def test_c4():
@@ -91,6 +92,78 @@ def graph_with_matching(draw):
 def test_seeded_matches_bruteforce(case, seeded):
     g, initial = case
     check(g, initial if seeded else ())
+
+
+def random_matching(edges, rng: random.Random) -> list[tuple[int, int]]:
+    used: set[int] = set()
+    matching = []
+    for u, v in rng.sample(edges, len(edges)):
+        if u not in used and v not in used and rng.random() < 0.5:
+            used.update((u, v))
+            matching.append((u, v))
+    return matching
+
+
+@st.composite
+def mid_size_graph_with_matching(draw):
+    """A graph on up to 80 vertices, built from a drawn seed, and a matching
+    of it: sparse or dense G(n, p), or a union of short odd cycles."""
+    n = draw(st.integers(0, 80))
+    shape = draw(st.sampled_from(["sparse", "dense", "odd cycles"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if shape == "odd cycles":
+        edges = set()
+        for _ in range(rng.randrange(1, n + 2)):
+            length = rng.choice((3, 5, 7))
+            if length <= n:
+                ring = rng.sample(range(n), length)
+                edges.update((min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1]))
+        edges = sorted(edges)
+    else:
+        p = rng.choice((0.02, 0.05, 0.1) if shape == "sparse" else (0.5, 0.8, 0.95))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph(n, edges), random_matching(edges, rng)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mid_size_graph_with_matching(), st.booleans())
+def test_mid_size_matches_networkx(case, seeded):
+    g, initial = case
+    check(g, initial if seeded else (), size=networkx_max_matching_size)
+
+
+def test_dissolved_blossom_beside_a_kept_one():
+    # Four exposed roots: A = 0, B = 5, C = 8, D = 13. In the first phase
+    # A contracts the 5-cycle 0-1-3-4-2 and C the 5-cycle 8-9-11-12-10.
+    # The edge 4-7 then augments A with B, and both dissolve, blossom and
+    # all. D grows into the freed pair 1-3, and 3 meets 9, an outer vertex
+    # of C's kept blossom, so C and D augment through it. The matching
+    # becomes perfect.
+    edges = [
+        (0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (1, 15), (3, 9),
+        (5, 6), (6, 7), (4, 7),
+        (8, 9), (8, 10), (9, 11), (10, 12), (11, 12),
+        (13, 14), (14, 15),
+    ]
+    g = Graph(16, edges)
+    initial = [(1, 3), (2, 4), (6, 7), (9, 11), (10, 12), (14, 15)]
+    check(g, initial, size=lambda g: 8)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_planted_f_factor_of_mid_size_dense_graph(seed):
+    # Demands are the degrees of a random subgraph, so a factor exists.
+    rng = random.Random(seed)
+    n = rng.randrange(40, 121)
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+    keep = rng.choice((0.2, 0.5, 0.8))
+    f = [0] * n
+    for u, v in g.edges():
+        if rng.random() < keep:
+            f[u] += 1
+            f[v] += 1
+    found = f_factor(g, f)
+    assert found is not None and is_valid_factor(g, f, found)
 
 
 def test_initial_non_edge_rejected():

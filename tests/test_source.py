@@ -1,6 +1,7 @@
 """Properties of the library source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,25 @@ def test_no_private_imports_between_modules(path):
         if alias.name.startswith("_")
     ]
     assert private == [], f"{path.name} imports private names: {private}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_only_the_standard_library(path):
+    # The runtime stays pure standard library: every absolute import names a
+    # stdlib module or degkit itself (relative ones cannot leave the package).
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    names += [
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module
+    ]
+    outside = sorted(
+        name
+        for name in names
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"degkit"}
+    )
+    assert outside == [], f"{path.name} imports {outside}"
 
 
 def test_one_function_realizes_demands():
