@@ -26,9 +26,7 @@ from .dce import (
     rule2_check,
     safely_remove,
     solve_e_plus,
-    unsatisfied_vertices,
     validate_solution,
-    vertex_types,
 )
 from .winwin import (
     TrivialYes,

@@ -172,17 +172,6 @@ def _unsatisfied(degs: Sequence[int], lists: Sequence[frozenset[int]]) -> Iterat
     return compress(range(len(degs)), map(not_, map(contains, lists, degs)))
 
 
-def unsatisfied_vertices(inst: DceInstance) -> set[int]:
-    """Vertices whose current degree is not on their degree list."""
-    return set(_unsatisfied(inst.graph.degrees(), inst.tau.lists))
-
-
-def vertex_types(inst: DceInstance, v: int) -> frozenset[int]:
-    """All i with deg(v) + i on the list of v; type 0 means satisfied."""
-    deg = inst.graph.degree(v)
-    return frozenset(t - deg for t in inst.tau[v] if t >= deg)
-
-
 def _keep_only(inst: DceInstance, keep: Iterable[int]) -> DceInstance:
     """The instance induced on the vertices keep, renumbered in increasing
     order; each kept list shifts down by the neighbors its vertex lost,
@@ -444,42 +433,41 @@ def brute_force_solve(
 
 
 def realize_e_plus(
-    inst: DceInstance, start: int, fallback: Callable[[], set[Edge] | None] | None = None
+    inst: DceInstance, start: int, search: Callable[[], set[Edge] | None] | None = None
 ) -> set[Edge] | None:
-    """The realization loop on the NCE witnesses of inst from s = start."""
+    """`factors.realize_least` on the NCE witnesses of inst from s = start."""
     degrees = inst.graph.degrees()
 
     def witness(lo: int) -> tuple[int, list[int]] | None:
         found = least_even_total(degrees, inst.tau.lists, lo, inst.k)
         return None if found is None else (found[0], [x - d for x, d in zip(found[1], degrees)])
 
-    return realize_least(inst.graph, witness, start, solution_threshold(inst.r), False, fallback)
+    return realize_least(inst.graph, witness, start, solution_threshold(inst.r), False, search)
 
 
 def solve_e_plus(
     inst: DceInstance, node_limit: int = DEFAULT_NODE_LIMIT
 ) -> EditSolution | None:
-    """Kernelize; on the kernel, the numeric NO, the realization of the
-    least witness, then the anchored search up to the threshold r(r+1)^2,
-    and the realization of the least witness from it up; lift the result.
+    """Kernelize, run `factors.realize_least` on the kernel with the
+    anchored search as its exact search, and lift the result.
 
-    Returns None exactly for no-instances, and otherwise a minimum answer:
-    the search leaves to the last step only budgets without a solution
-    below the threshold. node_limit bounds only the search.
+    Returns None exactly for no-instances, and otherwise an answer that is
+    minimum unless the search exceeded node_limit and the realization from
+    the threshold r(r+1)^2 up answered instead. node_limit bounds only the
+    search.
     """
     require_edge_addition(inst, "solve_e_plus")
     reduced = kernelize_kr(inst)
     if isinstance(reduced, TrivialNo):
         return None
-    kernel, threshold = reduced.instance, solution_threshold(inst.r)
+    kernel = reduced.instance
 
-    def fallback() -> set[Edge] | None:
-        inner = brute_force_solve(replace(kernel, k=min(kernel.k, threshold)), node_limit)
-        if inner is None:
-            return realize_e_plus(kernel, threshold)
-        return {(u, v) for _, u, v in inner.edits}
+    def search() -> set[Edge] | None:
+        clamped = replace(kernel, k=min(kernel.k, solution_threshold(inst.r)))
+        inner = brute_force_solve(clamped, node_limit)
+        return None if inner is None else {(u, v) for _, u, v in inner.edits}
 
-    edges = realize_e_plus(kernel, 0, fallback)
+    edges = realize_e_plus(kernel, 0, search)
     if edges is None:
         return None
     # old_of_new increases, so renamed edges keep u < v.

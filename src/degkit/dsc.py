@@ -187,12 +187,9 @@ def validate_completion(inst: DscInstance, sol: EditSolution) -> None:
 
 
 def dsc_solve(inst: DscInstance, *, enum_limit: int = DEFAULT_ENUM_LIMIT) -> set[Edge] | None:
-    """The numeric NO, then the realization of the least witness (a minimum
-    answer), of the least from Δ'(Δ'+1)^2 up when k exceeds it (within
-    budget only), and the block-set enumeration, bounded by `enum_limit`,
-    on the budget clamped to Δ'(Δ'+1)^2 (minimum). Regular, with one
-    witness per total, tries each next total instead and answers NO after
-    them: its answers are minimum. Every YES is re-validated on the input.
+    """`factors.realize_least` on the property's numeric witnesses, with
+    the block-set enumeration, bounded by `enum_limit`, as its exact search
+    and Δ'(Δ'+1)^2 as its threshold. Every YES is re-validated on the input.
     """
     g, prop, delta = inst.graph, inst.prop, inst.delta_prime
     threshold, degrees = solution_threshold(delta), g.degrees()
@@ -201,15 +198,10 @@ def dsc_solve(inst: DscInstance, *, enum_limit: int = DEFAULT_ENUM_LIMIT) -> set
         found = _numeric_witness(prop, degrees, range(2 * lo, 2 * inst.k + 1, 2), delta)
         return None if found is None else (found[0] // 2, found[1])
 
-    def fallback() -> set[Edge] | None:
-        if inst.k > threshold:
-            edges = realize_least(g, witness, threshold, threshold, False)
-            if edges is not None:
-                return edges
-        # No completion is as large as the threshold, so the budget clamps.
+    def search() -> set[Edge] | None:
         return dsc_fpt_solve(replace(inst, k=min(inst.k, threshold)), enum_limit=enum_limit)
 
-    edges = realize_least(g, witness, 0, threshold, prop.one_per_total, fallback)
+    edges = realize_least(g, witness, 0, threshold, prop.one_per_total, search)
     if edges is not None:
         recheck(validate_completion, inst, additions(edges), "completion fails re-validation")
     return edges
@@ -426,17 +418,12 @@ def solve(inst: DceInstance | DscInstance, limit: int | None = None) -> EditSolu
     """A witness as edits for any instance kind, or None for a no-instance.
 
     Edge and vertex deletion get the exact anchored search. Edge addition
-    (on its kernel) and sequence completion run, through
-    `factors.realize_least` on their polynomial numeric solvers:
-      1. the numeric NO: no witness of total 2s for any s up to k;
-      2. the realization of the least witness by one complement f-factor;
-      3. edge addition: the anchored search up to the threshold r(r+1)^2,
-         then the realization of the least witness from it up;
-         sequence completion: that realization from Δ'(Δ'+1)^2 up if k is
-         larger, then the block-set enumeration on k clamped to Δ'(Δ'+1)^2;
-         regular, with one witness per total: each next total instead.
-    Every answer is minimum except a sequence completion realized from the
-    threshold up. `limit` bounds only the exact searches.
+    (on its kernel) and sequence completion go through
+    `factors.realize_least` on their polynomial numeric solvers, with the
+    anchored search and the block-set enumeration as its exact searches.
+    Every answer is minimum unless an exact search hit its limit (`limit`,
+    or a block-set above `CORE_CAP`) and the realization from the
+    threshold up answered instead. `limit` bounds only the exact searches.
     """
     if isinstance(inst, DscInstance):
         edges = dsc_solve(inst) if limit is None else dsc_solve(inst, enum_limit=limit)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
 
-from .errors import InternalInvariantError, InvalidInputError
+from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from .graph import DemandFunction, Edge, Graph, complement, induced_subgraph
 from .matching import max_matching
 
@@ -182,7 +182,7 @@ def realize_least(
     start: int,
     threshold: int,
     one_per_total: bool,
-    fallback: Callable[[], "set[Edge] | None"] | None = None,
+    search: Callable[[], "set[Edge] | None"] | None = None,
 ) -> set[Edge] | None:
     """Realize the least numeric witness from s = start up.
 
@@ -193,7 +193,12 @@ def realize_least(
     is a minimum answer. From the threshold up every witness realizes, so a
     failure there is a defect. Below it, a problem with one witness per
     total goes on to the next s, since the failure rules s out, and answers
-    NO when none is left; any other leaves the answer to `fallback`.
+    NO when none is left. Any other runs `search`, the caller's exact
+    search on the budget clamped to the threshold, whose answer is minimum.
+    When it finds nothing, or hits its limit, the least witness from the
+    threshold up is realized; the ResourceLimitError is re-raised only when
+    no witness is left there. So an answer exceeds the minimum only after
+    the search hit its limit.
     """
     lo = start
     while (found := witness(lo)) is not None:
@@ -205,7 +210,15 @@ def realize_least(
             raise InternalInvariantError(
                 f"realization failed at {s} edges, at or above the threshold {threshold}"
             )
-        if not one_per_total:
-            return None if fallback is None else fallback()
-        lo = s + 1
+        if one_per_total:
+            lo = s + 1
+            continue
+        try:
+            edges = None if search is None else search()
+        except ResourceLimitError:
+            if witness(threshold) is None:
+                raise
+        if edges is not None:
+            return edges
+        lo = threshold
     return None

@@ -20,9 +20,7 @@ from degkit.dce import (
     rule2_check,
     safely_remove,
     solve_e_plus,
-    unsatisfied_vertices,
     validate_solution,
-    vertex_types,
 )
 from degkit.dsc import solve
 from degkit.errors import InternalInvariantError, InvalidInputError, ResourceLimitError
@@ -64,30 +62,6 @@ def random_instance(rng: random.Random, op=EditKind.EDGE_ADDITION, n_max=10):
         {x for x in range(r + 1) if rng.random() < 0.45} for _ in range(n)
     ]
     return make_dce(Graph(n, edges), k, r, lists, op)
-
-
-class TestNotation:
-    def test_unsatisfied_triple(self):
-        assert unsatisfied_vertices(triple_instance()) == {0}
-
-    def test_unsatisfied_all_satisfied(self):
-        inst = make_dce(Graph(2, [(0, 1)]), 1, 1, [{1}, {0, 1}])
-        assert unsatisfied_vertices(inst) == set()
-
-    def test_unsatisfied_k3_zero_lists(self):
-        inst = make_dce(k3(), 1, 0, [{0}, {0}, {0}])
-        assert unsatisfied_vertices(inst) == {0, 1, 2}
-
-    def test_types_fig2_u(self):
-        assert vertex_types(fig2_instance(), 0) == {0, 1}
-
-    def test_types_fig2_v(self):
-        assert vertex_types(fig2_instance(), 1) == {0}
-
-    def test_types_unreachable(self):
-        star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        inst = make_dce(star, 1, 2, [{2}, {1}, {1}, {1}])
-        assert vertex_types(inst, 0) == frozenset()
 
 
 class TestSafelyRemove:
@@ -133,7 +107,8 @@ class TestCoreSet:
         chosen = core_set(inst)
         assert len(chosen) == 2
         for v in chosen:
-            assert vertex_types(inst, v) == {0, 1}
+            assert inst.graph.degree(v) == 0
+            assert inst.tau[v] == {0, 1}
 
     def test_fig2_counter_trace(self):
         # Unsatisfied w plus the one satisfied vertex of positive type (u);
@@ -436,6 +411,25 @@ class TestSolveEPlus:
         assert sol is not None and len(sol) == 2
         validate_solution(inst, sol)
         assert brute_force_solve(make_dce(Graph(42, [(0, 1)]), 1, 2, lists)) is None
+
+    @pytest.mark.parametrize("k", [18, 19])
+    def test_search_limit_realizes_from_the_threshold(self, k):
+        # The instance above with a search limit of one node: the search gives
+        # up, and the least witness from the threshold 18 up realizes.
+        lists = [{2}, {2}] + [{0, 2}] * 40
+        inst = make_dce(Graph(42, [(0, 1)]), k, 2, lists)
+        sol = solve(inst, limit=1)
+        assert sol is not None and len(sol) == 18
+        validate_solution(inst, sol)
+
+    def test_search_limit_below_the_threshold_stays_undecided(self):
+        # Below the threshold no witness is left to realize, so the search's
+        # ResourceLimitError stands; without a limit the minimum is 2 edges.
+        lists = [{2}, {2}] + [{0, 2}] * 40
+        inst = make_dce(Graph(42, [(0, 1)]), 17, 2, lists)
+        with pytest.raises(ResourceLimitError):
+            solve(inst, limit=1)
+        assert len(solve(inst)) == 2
 
     def test_failed_realization_at_the_threshold_is_a_defect(self, monkeypatch):
         # Ten isolated vertices that must each gain one edge: the least

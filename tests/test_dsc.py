@@ -218,6 +218,22 @@ class TestBoundK:
         with pytest.raises(InternalInvariantError):
             realize_least(g, witness, 0, 1, False)
 
+    def test_search_limit_falls_to_the_threshold(self):
+        # The adjacent pair alone cannot rise; with both others it can. A
+        # search that hits its limit leaves the answer to the least witness
+        # from the threshold up, and the limit stands only without one there.
+        g = Graph(4, [(0, 1)])
+
+        def witness(lo):
+            return (1, [1, 1, 0, 0]) if lo <= 1 else (2, [1] * 4) if lo == 2 else None
+
+        def search():
+            raise ResourceLimitError("limit")
+
+        assert len(realize_least(g, witness, 0, 2, False, search)) == 2
+        with pytest.raises(ResourceLimitError):
+            realize_least(g, witness, 0, 3, False, search)
+
     def test_witness_respects_cap(self):
         # Random matchings, whose 1-regular completion often lies at or
         # above the threshold 4 of delta' = 1.
@@ -325,17 +341,42 @@ class TestDscSolve:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
-        "g, prop",
-        [(Graph(10, [(0, 1)]), regular_property()), (Graph(10), anonymity_property(2))],
+        "g, k, prop, delta",
+        [
+            (Graph(10, [(0, 1)]), 5, regular_property(), 1),
+            (Graph(100, [(2 * i, 2 * i + 1) for i in range(20)]), 19, anonymity_property(2), 2),
+        ],
         ids=["regular", "anon-2"],
     )
-    def test_failed_large_realization_is_a_defect(self, monkeypatch, g, prop):
-        # From the threshold 4 of delta' = 1 on a witness always realizes:
-        # regular's least witness lies there, and anon-2's empty witness
-        # failing sends the loop there.
+    def test_failed_large_realization_is_a_defect(self, monkeypatch, g, k, prop, delta):
+        # From the threshold delta'(delta' + 1)^2 on a witness always
+        # realizes: regular's least witness lies at the threshold 4 of
+        # delta' = 1. anon-2's empty witness failing sends the loop to the
+        # search, whose block-set of 94 vertices exceeds the cap, and from
+        # there to the threshold 18 of delta' = 2.
         monkeypatch.setattr(factors, "realize_demands", lambda *args: None)
         with pytest.raises(InternalInvariantError):
-            dsc_solve(DscInstance(g, 5, prop, 1))
+            dsc_solve(DscInstance(g, k, prop, delta))
+
+    @pytest.mark.parametrize("k", [18, 19, 25])
+    def test_search_answers_before_the_threshold_realization(self, k):
+        # Two of thirty isolated vertices must reach degree 2; the least
+        # witness lifts just them, which one edge cannot do. The search
+        # finds a path of 3 edges at every budget, above the threshold 18 of
+        # delta' = 2 too.
+        edges = dsc_solve(DscInstance(Graph(30), k, h_index_property(2), 2))
+        assert edges is not None and len(edges) == 3
+
+    @pytest.mark.parametrize("k", [18, 19])
+    def test_search_limit_realizes_from_the_threshold(self, k):
+        # The least witness lifts the matched pair 0-1, which cannot realize;
+        # the block-set of 94 vertices exceeds the cap, so the least witness
+        # from the threshold 18 of delta' = 2 up answers instead.
+        g = Graph(100, [(2 * i, 2 * i + 1) for i in range(20)])
+        inst = DscInstance(g, k, h_index_property(2), 2)
+        edges = dsc_solve(inst)
+        assert edges is not None
+        validate_completion(inst, additions(edges))
 
     def test_wrong_realized_answer_is_a_defect(self, monkeypatch):
         # The graph is 1-regular, so the loop asks for the zero factor;
@@ -470,16 +511,15 @@ def _dsc_around_threshold(draw):
 @example((Graph(5), 4, 1, anonymity_property(3)))
 @example((Graph(4, [(0, 1), (1, 2)]), 16, 2, h_index_property(2)))
 def test_answers_are_minimum_up_to_the_threshold(case):
-    # Above the threshold only a realization from it up may exceed the
-    # minimum; regular's answers never do.
+    # The search never hits its limit on these sizes, so every answer is
+    # minimum, above the threshold too.
     g, k, delta, prop = case
     got = dsc_solve(DscInstance(g, k, prop, delta))
     expect = brute_dsc(g, k, prop.fulfills, delta)
     assert (got is None) == (expect is None), (list(g.edges()), k, delta, prop.name)
     if got is not None:
         validate_completion(DscInstance(g, k, prop, delta), additions(got))
-        if k <= solution_threshold(delta) or prop.one_per_total:
-            assert len(got) == len(expect), (list(g.edges()), k, delta, prop.name)
+        assert len(got) == len(expect), (list(g.edges()), k, delta, prop.name)
 
 
 def probe_anonymize_input(rng: random.Random):

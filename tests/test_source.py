@@ -55,18 +55,31 @@ def test_imports_only_the_standard_library(path):
     assert outside == [], f"{path.name} imports {outside}"
 
 
-def test_one_function_realizes_demands():
-    # Every completion problem maps its numeric witnesses back to the graph
-    # through the one loop in factors, so no copy of that loop can return.
-    callers = set()
+def callers(name):
+    """The functions, as file:function, that call `name`; a call inside a
+    nested function counts for every function around it."""
+    found = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for node in ast.walk(fn):
-                    if isinstance(node, ast.Call) and "realize_demands" in (
+                    if isinstance(node, ast.Call) and name in (
                         getattr(node.func, "id", None),
                         getattr(node.func, "attr", None),
                     ):
-                        callers.add(f"{path.name}:{fn.name}")
-    assert callers == {"factors.py:realize_least"}
+                        found.add(f"{path.name}:{fn.name}")
+    return found
+
+
+def test_one_function_realizes_demands():
+    # Every completion problem maps its numeric witnesses back to the graph
+    # through the one loop in factors, so no copy of that loop can return.
+    assert callers("realize_demands") == {"factors.py:realize_least"}
+
+
+def test_one_function_orders_search_and_realization():
+    # Both completion problems hand realize_least only their exact search;
+    # the order of search and realization from the threshold lives there,
+    # so no caller can build its own fallback again.
+    assert callers("realize_least") == {"dce.py:realize_e_plus", "dsc.py:dsc_solve"}
