@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
+from operator import gt
 
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from .graph import DemandFunction, Edge, Graph, complement, induced_subgraph
@@ -52,22 +53,23 @@ def f_factor(g: Graph, f: DemandFunction) -> set[Edge] | None:
     if not support:
         return set()
     sub, old_of_new = induced_subgraph(g, support)
-    fs = tuple(f[old_of_new[i]] for i in range(sub.vertex_count))
-    if any(fs[i] > sub.degree(i) for i in range(sub.vertex_count)):
+    fs = tuple(f[v] for v in old_of_new)
+    degs = sub.degrees()
+    if any(map(gt, fs, degs)):
         return None
 
     # A demand fs and its within-edge-set complement deg - fs describe the
     # same search (take E(sub) minus the factor); pick whichever side builds
     # the smaller gadget.
-    direct_fillers = sum(sub.degree(i) - fs[i] for i in range(sub.vertex_count))
-    flip = sum(fs) < direct_fillers
-    demand = tuple(sub.degree(i) - fs[i] for i in range(sub.vertex_count)) if flip else fs
+    flip = 2 * sum(fs) < sum(degs)
+    demand = tuple(d - x for d, x in zip(degs, fs)) if flip else fs
 
     found = _factor_via_gadget(sub, demand)
     if found is None:
         return None
     factor = set(sub.edges()) - found if flip else found
-    lifted = {_lift(e, old_of_new) for e in factor}
+    # old_of_new increases, so renamed edges keep u < v.
+    lifted = {(old_of_new[u], old_of_new[v]) for u, v in factor}
     degree = [0] * n
     for u, v in lifted:
         if not g.has_edge(u, v):
@@ -77,11 +79,6 @@ def f_factor(g: Graph, f: DemandFunction) -> set[Edge] | None:
     if degree != list(f):
         raise InternalInvariantError("factor degrees differ from the demands")
     return lifted
-
-
-def _lift(e: Edge, old_of_new: tuple[int, ...]) -> Edge:
-    a, b = old_of_new[e[0]], old_of_new[e[1]]
-    return (a, b) if a < b else (b, a)
 
 
 def _factor_via_gadget(g: Graph, h: tuple[int, ...]) -> set[Edge] | None:
@@ -143,11 +140,8 @@ def _factor_via_gadget(g: Graph, h: tuple[int, ...]) -> set[Edge] | None:
     if 2 * len(matching) != len(gadget):
         return None
 
-    mate = [-1] * len(gadget)
-    for a, b in matching:
-        mate[a] = b
-        mate[b] = a
-    return {(u, v) for u, v, a in bridges if mate[a] == partner[a]}
+    # a < partner[a]: cells are numbered in vertex order and bridges have u < v.
+    return {(u, v) for u, v, a in bridges if (a, partner[a]) in matching}
 
 
 def realize_demands(g: Graph, demand: DemandFunction) -> set[Edge] | None:
@@ -201,6 +195,7 @@ def realize_least(
     the search hit its limit.
     """
     lo = start
+    limit: ResourceLimitError | None = None
     while (found := witness(lo)) is not None:
         s, demand = found
         edges = realize_demands(g, demand)
@@ -215,10 +210,11 @@ def realize_least(
             continue
         try:
             edges = None if search is None else search()
-        except ResourceLimitError:
-            if witness(threshold) is None:
-                raise
+        except ResourceLimitError as e:
+            limit = e
         if edges is not None:
             return edges
         lo = threshold
+    if limit is not None:
+        raise limit
     return None

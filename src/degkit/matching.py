@@ -120,6 +120,18 @@ def max_matching(g: Graph, initial: Iterable[Edge] = ()) -> set[Edge]:
                     tree[i] = t
                     queue.append(i)
 
+    def dissolve(t: int) -> None:
+        # Blossom bases lie in their own trees, so `members` ends each phase empty.
+        vertices = forest[t]
+        for i in vertices:
+            parent[i] = -1
+            base[i] = i
+            tree[i] = -1
+        if members:
+            for i in vertices:
+                members.pop(i, None)
+        forest[t] = None
+
     while True:
         exposed = [r for r in exposed if match[r] == -1]
         if len(exposed) < 2:
@@ -162,27 +174,16 @@ def max_matching(g: Graph, initial: Iterable[Edge] = ()) -> set[Edge]:
                     match[v] = to
                     match[to] = v
                     # Both trees dissolve; the phase goes on without them.
-                    for k in (t, other):
-                        for i in forest[k]:
-                            parent[i] = -1
-                            base[i] = i
-                            tree[i] = -1
-                        if members:
-                            for i in forest[k]:
-                                members.pop(i, None)
-                        forest[k] = None
+                    dissolve(t)
+                    dissolve(other)
                     augmented = True
                     break
                 elif base[v] != base[to]:
                     contract(v, to, queue)
         if not augmented:
             break
-        for vertices in forest:
+        for k, vertices in enumerate(forest):
             if vertices is not None:
-                for i in vertices:
-                    parent[i] = -1
-                    base[i] = i
-                    tree[i] = -1
-        members.clear()
+                dissolve(k)
 
     return {(u, match[u]) for u in range(n) if match[u] > u}

@@ -56,9 +56,7 @@ def _rows(degrees: Sequence[int], k_max: int, phi: Sequence[frozenset[int]]) -> 
 def _max_rise(degrees: Sequence[int], phi: Sequence[frozenset[int]]) -> int:
     """No index rises past the largest entry of its set, so no total is
     larger; capping a table's width here keeps huge targets cheap."""
-    return sum(
-        max((x - d for x in allowed if x >= d), default=0) for d, allowed in zip(degrees, phi)
-    )
+    return sum(max(max(allowed, default=0) - d, 0) for d, allowed in zip(degrees, phi))
 
 
 def _trace(

@@ -101,7 +101,9 @@ def _clique_preamble(
         raise InvalidInputError("every source vertex must have degree at least h")
     cover = approx_vertex_cover(g) if x is None else set(x)
     classes = twin_classes(g, cover)
-    if h > len(cover) + 1:
+    if g.vertex_count == 0:
+        # No clique of size h >= 1. Only here can h exceed |cover| + 1, since a
+        # vertex outside a cover has its at least h neighbors inside it.
         return None
     reps: list[int | None] = [min(c) for c in classes]
     if not reps:

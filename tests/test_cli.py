@@ -237,6 +237,31 @@ class TestOtherCommands:
         g = parse_instance(capsys.readouterr().out).graph
         assert g.vertex_count == 10 and set(g.degrees()) == {3}
 
+    def test_nce_rejects_a_negative_target(self, tmp_path, capsys):
+        path = write(tmp_path, "triple.dce", TRIPLE)
+        assert main(["nce", path, "--target", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "InvalidInputError" in captured.err
+
+    def test_reduce_from_independent_set_on_a_cubic_graph(self, tmp_path, capsys):
+        k4 = "p dce 4 6 0 3\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"
+        src = write(tmp_path, "k4.dce", k4)
+        # K4 has an independent set of one vertex but none of two.
+        for size, answer in (("1", "YES"), ("2", "NO")):
+            out_path = str(tmp_path / f"is{size}.dce")
+            assert main(["reduce", src, "--from", "is", "--size", size, "-o", out_path]) == 0
+            assert main(["solve", out_path]) == 0
+            assert capsys.readouterr().out.startswith(answer)
+
+    @pytest.mark.parametrize("source", ["clique-e", "clique-v"])
+    def test_reduce_from_the_empty_graph_is_the_canonical_no(self, tmp_path, capsys, source):
+        src = write(tmp_path, "empty.dce", "p dce 0 0 0 0\n")
+        assert main(["reduce", src, "--from", source, "--size", "1"]) == 0
+        captured = capsys.readouterr()
+        assert "c role 1 canonical-no" in captured.out
+        assert captured.err == ""
+
     @pytest.mark.parametrize("command", ["kernelize", "nce"])
     def test_dce_commands_reject_a_dsc_file(self, tmp_path, capsys, command):
         path = write(tmp_path, "star.dsc", STAR)

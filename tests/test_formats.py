@@ -156,6 +156,23 @@ class TestParseInstance:
             parse_instance(text)
         assert err.value.line == line
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("p dce 1 0 0 1\ne 1 x\n", 2, "line 2: expected an integer, got 'x'"),
+            ("p dsc 1 0 0 anon\n", 1, "line 1: property anon needs a parameter"),
+            ("p dce 1 0 0 1\nt\n", 2, "line 2: degree-list line needs a vertex"),
+        ],
+    )
+    def test_token_faults_name_their_line(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert err.value.line == line
+        assert str(err.value) == message
+        with pytest.raises(ParseError) as err:
+            reference_parse_instance(text)
+        assert err.value.line == line
+
     @pytest.mark.parametrize("n", [MAX_VERTICES, MAX_VERTICES + 1, 10**18])
     @pytest.mark.parametrize("fields", ["dce {} 0 0 0", "dsc {} 0 0 regular"])
     def test_vertex_cap(self, n, fields, monkeypatch):

@@ -150,6 +150,17 @@ def test_dissolved_blossom_beside_a_kept_one():
     check(g, initial, size=lambda g: 8)
 
 
+def test_blossom_of_a_tree_that_did_not_augment():
+    # The greedy extension leaves the roots 2, 3, 4 and 6. In the first
+    # phase root 2 contracts the triangle 0-1-2, and the edge 1-4 augments
+    # it with root 4; both trees dissolve, leaving the pairs 0-2 and 1-4.
+    # Root 3 grows through 7-5 into both pairs and contracts the 5-cycle
+    # 5-0-2-1-4 on the base 5, but does not augment. The next phase, from
+    # the roots 3 and 6, contracts the same cycle on the old base 5.
+    g = Graph(8, [(0, 1), (0, 2), (0, 5), (1, 2), (1, 4), (3, 7), (4, 5), (5, 7)])
+    check(g, [(0, 1), (5, 7)], size=networkx_max_matching_size)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_planted_f_factor_of_mid_size_dense_graph(seed):
     # Demands are the degrees of a random subgraph, so a factor exists.

@@ -140,9 +140,11 @@ class TestCoverAndTwins:
     def test_clique_above_the_cover_is_the_canonical_no(self, reduce):
         # A vertex outside a cover has at most |cover| neighbors, so only
         # the empty graph meets h > |cover| + 1 with every degree at least h.
-        out = reduce(Graph(0), 2)
-        assert out.provenance == {0: "canonical-no"}
-        assert brute_force_solve(out.instance) is None
+        # It has no clique of any size h >= 1.
+        for h in (1, 2, 3):
+            out = reduce(Graph(0), h)
+            assert out.provenance == {0: "canonical-no"}
+            assert brute_force_solve(out.instance) is None
 
 
 def _params_eminus(g, x, h):
