@@ -101,6 +101,8 @@ def _cmd_nce(args) -> int:
     if not isinstance(inst, DceInstance):
         raise InvalidInputError("the numeric problem derives from dce instances")
     target = inst.k if args.target is None else args.target
+    if target < 0:
+        raise InvalidInputError(f"--target must be nonnegative, got {target}")
     numeric = make_nce(
         inst.graph.degrees(), target, inst.r, [set(s) for s in inst.tau.lists]
     )

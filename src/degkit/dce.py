@@ -11,8 +11,8 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import compress, repeat
-from operator import contains, lt, not_
+from itertools import compress, islice, repeat
+from operator import contains, lt
 from typing import Any
 
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
@@ -168,8 +168,13 @@ def recheck(
 
 
 def _unsatisfied(degs: Sequence[int], lists: Sequence[frozenset[int]]) -> Iterator[int]:
-    """The vertices whose degree is not on their list, in increasing order."""
-    return compress(range(len(degs)), map(not_, map(contains, lists, degs)))
+    """The vertices whose degree is not on their list, in increasing order:
+    one membership scan into bytes, then a jump from zero to zero."""
+    on = bytes(map(contains, lists, degs))
+    v = on.find(0)
+    while v >= 0:
+        yield v
+        v = on.find(0, v + 1)
 
 
 def _keep_only(inst: DceInstance, keep: Iterable[int]) -> DceInstance:
@@ -205,11 +210,12 @@ def require_edge_addition(inst: DceInstance, op: str) -> None:
         raise InvalidInputError(f"{op} applies to edge-addition instances only")
 
 
-def core_set(inst: DceInstance) -> set[int]:
+def core_set(inst: DceInstance, unsat: Iterable[int] | None = None) -> set[int]:
     """All unsatisfied vertices plus up to alpha = k(max_degree + 2) satisfied
     vertices per positive type, with one counter per type.
 
-    One scan takes the unsatisfied vertices; the counter loop then visits,
+    One scan takes the unsatisfied vertices, unless the caller hands them
+    over as unsat; the counter loop then visits,
     in increasing order, only the vertices with two or more list entries,
     since a satisfied vertex with one entry has no positive type.
     """
@@ -217,7 +223,7 @@ def core_set(inst: DceInstance) -> set[int]:
     degs, lists = inst.graph.degrees(), inst.tau.lists
     alpha = inst.k * (inst.graph.max_degree() + 2)
     counters = [0] * (inst.r + 1)
-    chosen = set(_unsatisfied(degs, lists))
+    chosen = set(_unsatisfied(degs, lists) if unsat is None else unsat)
     for v in compress(range(len(lists)), map(lt, repeat(1), map(len, lists))):
         deg = degs[v]
         lst = lists[v]
@@ -235,17 +241,18 @@ def core_set(inst: DceInstance) -> set[int]:
     return chosen
 
 
-def rule2_check(inst: DceInstance) -> TrivialNo | None:
+def rule2_check(inst: DceInstance, unsat: Iterable[int] | None = None) -> TrivialNo | None:
     """Trivial no if more than 2k vertices are unsatisfied or some vertex
     already exceeds every degree on its list (empty lists always do).
 
     Only unsatisfied vertices can overshoot; they are checked in increasing
     order up to the (2k+1)-th, whose overshoot is reported before the count.
+    unsat, if given, holds at least those first 2k + 1 in increasing order.
     """
     require_edge_addition(inst, "rule2_check")
     degs, lists = inst.graph.degrees(), inst.tau.lists
     limit = 2 * inst.k
-    for count, v in enumerate(_unsatisfied(degs, lists), 1):
+    for count, v in enumerate(_unsatisfied(degs, lists) if unsat is None else unsat, 1):
         lst = lists[v]
         if not lst or degs[v] > max(lst):
             return TrivialNo(f"vertex {v} overshoots its degree list")
@@ -262,10 +269,13 @@ def kernelize_kr(inst: DceInstance) -> Kernel | TrivialNo:
     yes-instance exactly when the input is.
     """
     require_edge_addition(inst, "kernelize_kr")
-    no = rule2_check(inst)
+    # Rule 2 reads at most the first 2k + 1 unsatisfied vertices, and the
+    # core set is taken only when there are no more than 2k.
+    unsat = list(islice(_unsatisfied(inst.graph.degrees(), inst.tau.lists), 2 * inst.k + 1))
+    no = rule2_check(inst, unsat)
     if no is not None:
         return no
-    keep = sorted(core_set(inst))
+    keep = sorted(core_set(inst, unsat))
     return Kernel(_keep_only(inst, keep), tuple(keep))
 
 

@@ -5,13 +5,17 @@ within {0..r}, and a target total increase k, decide whether final degrees
 d_i' >= d_i with d_i' in phi(i) and sum(d_i' - d_i) = k exist. Solved by
 one bitset row per prefix: bit j of a row says the prefix can rise by
 exactly j in total. One table answers every target up to its width, and a
-witness for any of them is traced back from the same rows.
+witness for any of them is traced back from the same rows. The rises an
+index allows are worked out once per (degree, list) type, since a large
+instance has few types; the table keeps one row per index.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Sequence
+from operator import contains, lt, sub
 
 from .errors import InternalInvariantError, InvalidInputError
 
@@ -39,44 +43,50 @@ def make_nce(degrees: Sequence[int], k: int, r: int, phi: Sequence[set[int]]) ->
     return NceInstance(tuple(degrees), k, r, tuple(frozenset(s) for s in phi))
 
 
-def _rows(degrees: Sequence[int], k_max: int, phi: Sequence[frozenset[int]]) -> list[int]:
+def _rises(degrees: Sequence[int], phi: Sequence[frozenset[int]]) -> list[tuple[int, ...]]:
+    """Each index's allowed rises x - d, x >= d, in increasing order,
+    worked out once per distinct (degree, set) type."""
+    types = {(d, s): tuple(sorted(x - d for x in s if x >= d)) for d, s in set(zip(degrees, phi))}
+    return list(map(types.__getitem__, zip(degrees, phi)))
+
+
+def _rows(rises: Sequence[tuple[int, ...]], k_max: int) -> list[int]:
     """Row i holds the totals the first i indices can rise by, up to k_max."""
     mask = (1 << (k_max + 1)) - 1
-    rows = [1]
-    for d, allowed in zip(degrees, phi):
-        prev = rows[-1]
+    rows = [prev := 1]
+    for steps in rises:
         row = 0
-        for x in allowed:
-            if x >= d:
-                row |= prev << (x - d)
-        rows.append(row & mask)
+        for x in steps:
+            row |= prev << x
+        rows.append(prev := row & mask)
     return rows
 
 
-def _max_rise(degrees: Sequence[int], phi: Sequence[frozenset[int]]) -> int:
+def _max_rise(rises: Sequence[tuple[int, ...]]) -> int:
     """No index rises past the largest entry of its set, so no total is
     larger; capping a table's width here keeps huge targets cheap."""
-    return sum(max(max(allowed, default=0) - d, 0) for d, allowed in zip(degrees, phi))
+    return sum(steps[-1] * count for steps, count in Counter(rises).items() if steps)
 
 
 def _trace(
-    degrees: Sequence[int], phi: Sequence[frozenset[int]], total: int, rows: Sequence[int]
+    degrees: Sequence[int], phi: Sequence[frozenset[int]], rises: Sequence[tuple[int, ...]],
+    total: int, rows: Sequence[int],
 ) -> tuple[int, ...] | None:
     """A witness for total read from rows at least that wide, or None;
     tie-breaking as in nce_traceback."""
     j = total
     if not rows[-1] >> j & 1:
         return None
-    final = [0] * len(degrees)
-    for i in range(len(degrees) - 1, -1, -1):
-        d = degrees[i]
-        for x in sorted(phi[i]):
-            if d <= x <= d + j and rows[i] >> (j - (x - d)) & 1:
-                final[i] = x
-                j -= x - d
+    final = []
+    for d, steps, row in zip(reversed(degrees), reversed(rises), reversed(rows[:-1])):
+        for x in steps:
+            if x <= j and row >> (j - x) & 1:
+                final.append(d + x)
+                j -= x
                 break
         else:
             raise InternalInvariantError("positive table entry has no predecessor")
+    final.reverse()
     _validate_witness(degrees, phi, total, final)
     return tuple(final)
 
@@ -88,14 +98,15 @@ def least_even_total(
     lists, with a witness of final degrees traced as in nce_traceback, or
     None. Edge additions raise the degrees by an even total, so this is
     the numeric question behind both e+ solving and the win-win."""
-    top = min(hi, _max_rise(degrees, phi) // 2)
+    rises = _rises(degrees, phi)
+    top = min(hi, _max_rise(rises) // 2)
     if top < lo:
         return None
-    rows = _rows(degrees, 2 * top, phi)
+    rows = _rows(rises, 2 * top)
     s = next((s for s in range(lo, top + 1) if rows[-1] >> 2 * s & 1), None)
     if s is None:
         return None
-    return s, _trace(degrees, phi, 2 * s, rows)
+    return s, _trace(degrees, phi, rises, 2 * s, rows)
 
 
 def nce_decide_all_targets(
@@ -105,7 +116,7 @@ def nce_decide_all_targets(
     inst = make_nce(degrees, 0, r, phi)
     if k_max < 0:
         raise InvalidInputError("k_max must be nonnegative")
-    last = _rows(inst.degrees, k_max, inst.phi)[-1]
+    last = _rows(_rises(inst.degrees, inst.phi), k_max)[-1]
     return [bool(last >> j & 1) for j in range(k_max + 1)]
 
 
@@ -116,15 +127,16 @@ def nce_traceback(inst: NceInstance) -> tuple[int, ...] | None:
     degree whose remaining total the shorter prefix still reaches, which
     makes witnesses deterministic.
     """
-    return _trace(inst.degrees, inst.phi, inst.k, _rows(inst.degrees, inst.k, inst.phi))
+    rises = _rises(inst.degrees, inst.phi)
+    return _trace(inst.degrees, inst.phi, rises, inst.k, _rows(rises, inst.k))
 
 
 def _validate_witness(
     degrees: Sequence[int], phi: Sequence[frozenset[int]], total: int, final: Sequence[int]
 ) -> None:
-    if any(x < d for x, d in zip(final, degrees)):
+    if any(map(lt, final, degrees)):
         raise InternalInvariantError("witness decreases a degree")
-    if any(x not in s for x, s in zip(final, phi)):
+    if not all(map(contains, phi, final)):
         raise InternalInvariantError("witness leaves an allowed-degree set")
-    if sum(x - d for x, d in zip(final, degrees)) != total:
+    if sum(map(sub, final, degrees)) != total:
         raise InternalInvariantError("witness has the wrong total increase")

@@ -141,6 +141,67 @@ def brute_nce(degrees: Sequence[int], k: int, phi: Sequence[set[int]]) -> bool:
     return rec(0, 0)
 
 
+def reference_least_even_total(
+    degrees: Sequence[int], phi: Sequence[frozenset[int]], lo: int, hi: int
+) -> tuple[int, tuple[int, ...]] | None:
+    """least_even_total as per-vertex loops: each index's largest rise for
+    the width cap, the x >= d test in every table row, and each list sorted
+    again in the trace, the smallest final degree first from the last index
+    down."""
+    cap = sum(max(max(allowed, default=0) - d, 0) for d, allowed in zip(degrees, phi))
+    top = min(hi, cap // 2)
+    if top < lo:
+        return None
+    mask = (1 << (2 * top + 1)) - 1
+    rows = [1]
+    for d, allowed in zip(degrees, phi):
+        row = 0
+        for x in allowed:
+            if x >= d:
+                row |= rows[-1] << (x - d)
+        rows.append(row & mask)
+    s = next((s for s in range(lo, top + 1) if rows[-1] >> 2 * s & 1), None)
+    if s is None:
+        return None
+    j = 2 * s
+    final = [0] * len(degrees)
+    for i in range(len(degrees) - 1, -1, -1):
+        d = degrees[i]
+        x = next(x for x in sorted(phi[i]) if d <= x <= d + j and rows[i] >> (j - (x - d)) & 1)
+        final[i] = x
+        j -= x - d
+    return s, tuple(final)
+
+
+def winwin_numbers(rng, n, r, degree_one, optional, forced=0, shared=False):
+    """Degrees and lists after the benchmark's r-only kernel recipe:
+    `degree_one` matched vertices of degree 1, the rest isolated, and every
+    vertex may keep its degree. Without `forced`, `optional` isolated
+    vertices may also rise to r. With `forced`, that many isolated vertices
+    must rise by one and `optional` others may rise by two, so an odd
+    `forced` reaches only odd totals. With `shared`, equal lists are one
+    frozenset object; without it, every vertex has its own."""
+    order = list(range(n))
+    rng.shuffle(order)
+    ones, zeros = order[:degree_one], order[degree_one:]
+    degrees = [0] * n
+    lists = [(0,)] * n
+    for v in ones:
+        degrees[v] = 1
+        lists[v] = (1,)
+    for v in zeros[:forced]:
+        lists[v] = (1,)
+    pool = zeros[forced:] + (ones if forced else [])
+    rng.shuffle(pool)
+    for v in pool[:optional]:
+        d = lists[v][0]
+        lists[v] = (d, d + 2) if forced else (0, r)
+    if shared:
+        one: dict = {}
+        return degrees, [one.setdefault(lst, frozenset(lst)) for lst in lists]
+    return degrees, [frozenset(lst) for lst in lists]
+
+
 # -- DCE (all three edit operations) ---------------------------------------
 
 

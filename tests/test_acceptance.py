@@ -30,7 +30,7 @@ from degkit.factors import f_factor, kt_condition_holds
 from degkit.formats import parse_instance, serialize_instance
 from degkit.generators import gen_cubic, gen_random_dce
 from degkit.graph import Graph, add_edges, degree_sequence
-from degkit.nce import make_nce, nce_traceback
+from degkit.nce import least_even_total, make_nce, nce_traceback
 from degkit.reductions import (
     approx_vertex_cover,
     clique_to_dce_eminus,
@@ -49,7 +49,9 @@ from oracles import (
     has_independent_set,
     has_vertex_cover,
     is_valid_factor,
+    reference_least_even_total,
     small_graphs,
+    winwin_numbers,
 )
 
 
@@ -459,3 +461,19 @@ def test_criterion_10_round_trip_and_verify(tmp_path, capsys):
             assert "c verified" in out
             yes_outputs += 1
     crit.finish(f"{len(corpus)} instances round-tripped, {yes_outputs} YES outputs verified")
+
+
+def test_criterion_11_type_census_witness_search():
+    # 100,000 vertices of three (degree, list) types, each with its own
+    # list object. The budget covers least_even_total alone; it catches a
+    # return to quadratic work, not a constant factor.
+    r, k = 3, 200
+    degrees, phi = winwin_numbers(random.Random(11), 100_000, r, 33_000, 60_000)
+    assert len(set(zip(degrees, phi))) == 3
+    expect = reference_least_even_total(degrees, phi, solution_threshold(r), k)
+    assert expect is not None
+
+    crit = _Criterion("11 type-census witness search", 2)
+    found = least_even_total(degrees, phi, solution_threshold(r), k)
+    crit.finish(f"n=100000, 3 types, least s={found[0]}")
+    assert found == expect

@@ -243,6 +243,7 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "InvalidInputError" in captured.err
+        assert "--target" in captured.err
 
     def test_reduce_from_independent_set_on_a_cubic_graph(self, tmp_path, capsys):
         k4 = "p dce 4 6 0 3\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"

@@ -5,14 +5,18 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from degkit.nce import (
+    _max_rise,
+    _rises,
     least_even_total,
     make_nce,
     nce_decide_all_targets,
     nce_traceback,
 )
 
-from oracles import brute_nce
+from oracles import brute_nce, reference_least_even_total, winwin_numbers
 
 
 def test_zero_completion():
@@ -127,8 +131,46 @@ def test_least_even_total_matches_bruteforce(case, lo):
     phi = [frozenset(s) for s in phi]
     expect = next((s for s in range(lo, hi + 1) if brute_nce(degrees, 2 * s, phi)), None)
     found = least_even_total(degrees, phi, lo, hi)
+    assert found == reference_least_even_total(degrees, phi, lo, hi)
     if expect is None:
         assert found is None
     else:
         # The witness is the one nce_traceback gives for the same total.
         assert found == (expect, nce_traceback(make_nce(degrees, 2 * expect, r, phi)))
+
+
+# (n, r, k, degree_one, optional, forced): the benchmark's three r-only
+# kernel instances, an odd-forced one at n = 3000 and an even-forced one.
+_WINWIN = [
+    (1500, 3, 200, 500, 900, 0),
+    (1500, 3, 200, 500, 900, 5),
+    (2000, 2, 150, 600, 1200, 0),
+    (3000, 3, 200, 1000, 1800, 7),
+    (3000, 3, 200, 1000, 1800, 4),
+]
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("params", _WINWIN)
+def test_least_even_total_matches_the_reference_on_few_types(params, shared):
+    n, r, k, degree_one, optional, forced = params
+    degrees, phi = winwin_numbers(random.Random(n + forced), n, r, degree_one, optional, forced, shared)
+    assert 3 <= len(set(zip(degrees, phi))) <= 5
+    assert (len(set(map(id, phi))) <= 5) == shared
+    for lo in (0, r * (r + 1) ** 2):
+        found = least_even_total(degrees, phi, lo, k)
+        assert found == reference_least_even_total(degrees, phi, lo, k)
+        # An odd number of forced single rises makes every total odd.
+        assert (found is None) == (forced % 2 == 1)
+
+
+@pytest.mark.parametrize("dead", [frozenset(), frozenset({0, 1})])
+def test_lists_without_a_rise_add_nothing_to_the_width_cap(dead):
+    # Index 1 has degree 3 and an empty list or one below its degree: it
+    # rises by nothing, so no total at all is reachable.
+    degrees = [2, 3, 0]
+    phi = [frozenset({2, 4}), dead, frozenset({0, 2})]
+    assert _max_rise(_rises(degrees, phi)) == 4
+    assert least_even_total(degrees, phi, 0, 10) is None
+    assert reference_least_even_total(degrees, phi, 0, 10) is None
+    assert nce_decide_all_targets(degrees, 10, 4, phi) == [False] * 11
