@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import compress, islice, repeat
 from operator import contains, lt
@@ -31,19 +31,31 @@ class EditKind(enum.Enum):
 
 @dataclass(frozen=True)
 class DegreeListFunction:
-    """Per-vertex sets of admissible target degrees, all within {0..r}."""
+    """Per-vertex sets of admissible target degrees, all within {0..r}.
+
+    spread, derived in the range check's loop, is the widest list's
+    max - min (0 when no list has two entries); it bounds every rise a
+    vertex whose degree is on its list can have.
+    """
 
     r: int
     lists: tuple[frozenset[int], ...]
+    spread: int = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.r < 0:
             raise InvalidInputError("degree bound r must be nonnegative")
+        spread = 0
         for i, s in enumerate(self.lists):
-            if s and (min(s) < 0 or max(s) > self.r):
-                raise InvalidInputError(
-                    f"degree list of vertex {i} leaves the range 0..{self.r}"
-                )
+            if s:
+                lo, hi = min(s), max(s)
+                if lo < 0 or hi > self.r:
+                    raise InvalidInputError(
+                        f"degree list of vertex {i} leaves the range 0..{self.r}"
+                    )
+                if hi - lo > spread:
+                    spread = hi - lo
+        object.__setattr__(self, "spread", spread)
 
     def __getitem__(self, v: int) -> frozenset[int]:
         return self.lists[v]
@@ -215,15 +227,23 @@ def core_set(inst: DceInstance, unsat: Iterable[int] | None = None) -> set[int]:
     vertices per positive type, with one counter per type.
 
     One scan takes the unsatisfied vertices, unless the caller hands them
-    over as unsat; the counter loop then visits,
-    in increasing order, only the vertices with two or more list entries,
-    since a satisfied vertex with one entry has no positive type.
+    over as unsat. The counter sweep then visits, in increasing order, only
+    the vertices with two or more list entries, since a satisfied vertex
+    with one entry has no positive type. A satisfied vertex's types are
+    gaps inside its own list, so none exceeds tau.spread; the sweep stops
+    right after the vertex that brings the last of the types 1..spread to
+    alpha, since no later vertex can be kept. When some type in 1..spread
+    never reaches alpha, the sweep runs to the end.
     """
     require_edge_addition(inst, "core_set")
     degs, lists = inst.graph.degrees(), inst.tau.lists
     alpha = inst.k * (inst.graph.max_degree() + 2)
-    counters = [0] * (inst.r + 1)
+    spread = inst.tau.spread
+    counters = [0] * (spread + 1)
     chosen = set(_unsatisfied(degs, lists) if unsat is None else unsat)
+    open_types = spread if alpha else 0
+    if not open_types:
+        return chosen
     for v in compress(range(len(lists)), map(lt, repeat(1), map(len, lists))):
         deg = degs[v]
         lst = lists[v]
@@ -233,11 +253,16 @@ def core_set(inst: DceInstance, unsat: Iterable[int] | None = None) -> set[int]:
         for t in lst:
             if t > deg:
                 i = t - deg
-                if counters[i] < alpha:
+                count = counters[i] + 1
+                counters[i] = count
+                if count <= alpha:
                     wanted = True
-                counters[i] += 1
+                    if count == alpha:
+                        open_types -= 1
         if wanted:
             chosen.add(v)
+            if not open_types:
+                break
     return chosen
 
 

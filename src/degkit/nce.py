@@ -125,9 +125,12 @@ def nce_traceback(inst: NceInstance) -> tuple[int, ...] | None:
 
     From the last index down, each index takes the smallest allowed final
     degree whose remaining total the shorter prefix still reaches, which
-    makes witnesses deterministic.
+    makes witnesses deterministic. A target above every reachable total
+    is a NO without a table.
     """
     rises = _rises(inst.degrees, inst.phi)
+    if inst.k > _max_rise(rises):
+        return None
     return _trace(inst.degrees, inst.phi, rises, inst.k, _rows(rises, inst.k))
 
 

@@ -388,8 +388,9 @@ def test_criterion_9_linear_time_kernel():
     if isinstance(result, Kernel):
         assert result.instance.graph.vertex_count <= 2 * 10 + 10 * 10 * 12
 
-    # A same-scale instance that survives the overshoot rule and walks the
-    # full core-set pass: 10-regular circulant with 600 edges removed.
+    # A same-scale instance that survives the overshoot rule: 10-regular
+    # circulant with 600 edges removed. Its one rise fills up after 120 of
+    # the 1185 typed vertices, so the core-set sweep stops there.
     edges = []
     removed_pairs = {(10 * i, 10 * i + 1) for i in range(600)}
     for s in range(1, 6):
@@ -414,8 +415,20 @@ def test_criterion_9_linear_time_kernel():
     second = kernelize_kr(big)
     assert isinstance(second, Kernel)
     assert second.instance.graph.vertex_count <= 2 * 10 + 10 * 10 * 12
+
+    # The same graph where the needy vertices' lists span 2 while no
+    # satisfied vertex rises by 2: the sweep runs to the last vertex.
+    degrees = g.degrees()
+    spanning = make_dce(g, 10, 10, [
+        {degrees[v] - 1, degrees[v] + 1} if v in needy else lst for v, lst in enumerate(lists)
+    ])
+    assert spanning.tau.spread == 2
+    third = kernelize_kr(spanning)
+    assert isinstance(third, Kernel)
+    assert third.old_of_new == second.old_of_new
     crit.finish(
-        f"n={n}, m~5e5: trivial-no fast path plus a {second.instance.graph.vertex_count}-vertex kernel"
+        f"n={n}, m~5e5: trivial-no fast path plus {second.instance.graph.vertex_count}-vertex "
+        "kernels from a stopped and a full core-set sweep"
     )
 
 

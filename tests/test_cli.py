@@ -179,6 +179,12 @@ class TestOtherCommands:
         assert main(["nce", path, "--target", "1"]) == 0
         assert capsys.readouterr().out == "NO\n"
 
+    def test_nce_target_above_every_total_is_a_no(self, tmp_path, capsys):
+        # No total above 6 is reachable, so no table of 10^9 bits is built.
+        path = write(tmp_path, "triple.dce", TRIPLE)
+        assert main(["nce", path, "--target", "1000000000"]) == 0
+        assert capsys.readouterr().out == "NO\n"
+
     def test_ffactor(self, tmp_path, capsys):
         c4 = "p dce 4 4 0 2\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
         path = write(tmp_path, "c4.dce", c4)

@@ -2,6 +2,8 @@
 
 import random
 import time
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from degkit import dce, factors
 from degkit.dce import (
+    DegreeListFunction,
     EditKind,
     EditSolution,
     Kernel,
@@ -119,6 +122,75 @@ class TestCoreSet:
         inst = make_dce(Graph(2), 1, 1, [{0}, {0}], EditKind.EDGE_DELETION)
         with pytest.raises(InvalidInputError):
             core_set(inst)
+
+
+class _ReadLog(tuple):
+    """Degree lists that log each index read one at a time."""
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self.read = []
+        return self
+
+    def __getitem__(self, v):
+        self.read.append(v)
+        return tuple.__getitem__(self, v)
+
+
+def _logged(inst):
+    """inst with lists that log the core-set sweep's reads."""
+    return replace(inst, tau=DegreeListFunction(inst.r, _ReadLog(inst.tau.lists)))
+
+
+class TestCoreSetStop:
+    def test_sweep_stops_once_both_gaps_are_full(self):
+        # alpha = 1 * (0 + 2) = 2 and spread 2. Vertex 2 brings gaps 1 and 2
+        # to two vertices each, so the typed vertices 3 and 4 are left out
+        # and their lists are never read; unsatisfied vertex 5 stays.
+        lists = [{0, 1}, {0, 2}, {0, 1, 2}, {0, 1}, {0, 2}, {1}]
+        inst = _logged(make_dce(Graph(6), 1, 2, lists))
+        assert core_set(inst) == {0, 1, 2, 5}
+        assert inst.tau.lists.read == [0, 1, 2]
+        assert reference_core_set(inst) == {0, 1, 2, 5}
+
+    def test_sweep_runs_to_the_end_while_a_gap_has_no_vertex(self):
+        # Vertex 5's list spans 2, but no satisfied vertex rises by 2.
+        lists = [{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {1, 3}]
+        inst = _logged(make_dce(Graph(6), 1, 3, lists))
+        assert inst.tau.spread == 2
+        assert core_set(inst) == {0, 1, 5}
+        assert inst.tau.lists.read == [0, 1, 2, 3, 4, 5]
+        assert reference_core_set(inst) == {0, 1, 5}
+
+    def test_zero_budget_sweeps_nothing(self):
+        inst = _logged(make_dce(Graph(3), 0, 1, [{0, 1}, {0, 1}, {1}]))
+        assert core_set(inst) == {2}
+        assert inst.tau.lists.read == []
+
+
+class TestSpread:
+    def test_empty_and_one_entry_lists_spread_nothing(self):
+        assert DegreeListFunction(3, ()).spread == 0
+        assert DegreeListFunction(3, (frozenset(),) * 2).spread == 0
+        assert DegreeListFunction(3, (frozenset({3}), frozenset(), frozenset({0}))).spread == 0
+
+    def test_widest_list(self):
+        tau = DegreeListFunction(5, (frozenset({1, 2}), frozenset({0, 3, 4}), frozenset({5})))
+        assert tau.spread == 4
+
+    def test_left_out_of_equality_and_hash(self):
+        lists = (frozenset({0, 2}), frozenset({1}))
+        a, b = DegreeListFunction(2, lists), DegreeListFunction(2, tuple(map(frozenset, lists)))
+        object.__setattr__(b, "spread", 99)
+        assert a == b and hash(a) == hash(b)
+        assert replace(b, r=3).spread == 2
+
+    def test_kernel_gets_the_spread_of_its_shifted_lists(self):
+        # Vertex 0 loses its one neighbor: {0, 1, 3} shifts down to {0, 2}.
+        inst = make_dce(Graph(2, [(0, 1)]), 1, 3, [{0, 1, 3}, {1}])
+        assert inst.tau.spread == 3
+        kept = safely_remove(inst, {1}).tau
+        assert kept.lists == (frozenset({0, 2}),) and kept.spread == 2
 
 
 class TestRule2:
@@ -272,6 +344,63 @@ def test_kernel_rules_match_the_reference(inst, data):
     n = inst.graph.vertex_count
     removed = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
     assert safely_remove(inst, removed) == reference_safely_remove(inst, removed)
+
+
+@st.composite
+def _saturating_instance(draw):
+    """Edge-addition instances for the core-set sweep's stop rule: k in
+    {0, 1}, degrees at most 2 (so alpha is at most 4) and mostly satisfied
+    vertices whose rises fall on a few shared gaps. Often every gap in
+    1..spread fills up and the sweep stops early; when the drawn gaps miss
+    one below the widest, or an unsatisfied list is wider than every gap,
+    it runs to the end."""
+    n = draw(st.integers(4, 40))
+    path = [(v, v + 1) for v in range(n - 1)]
+    g = Graph(n, draw(st.sets(st.sampled_from(path))))
+    width = draw(st.integers(1, 3))
+    gaps = sorted(draw(st.sets(st.integers(1, width), min_size=1)))
+    lists = []
+    for deg in g.degrees():
+        kind = draw(st.sampled_from(("one", "one", "two", "exact", "wide")))
+        if kind == "exact":
+            lists.append({deg})
+        elif kind == "wide":
+            lists.append({deg + 1, deg + 1 + width})
+        else:
+            rises = draw(st.sets(st.sampled_from(gaps), min_size=1, max_size=len(kind) - 1))
+            lists.append({deg} | {deg + x for x in rises})
+    return make_dce(g, draw(st.sampled_from((1, 1, 1, 0))), g.max_degree() + width + 1, lists)
+
+
+def _sweep_end(inst) -> int:
+    """The vertex after which the stop rule ends the core-set sweep: the
+    first satisfied one that brings every rise in 1..spread to alpha, else
+    the last vertex; -1 when alpha or spread is 0."""
+    alpha = inst.k * (inst.graph.max_degree() + 2)
+    spread = inst.tau.spread
+    if not alpha or not spread:
+        return -1
+    counts = Counter()
+    for v, (deg, lst) in enumerate(zip(inst.graph.degrees(), inst.tau.lists)):
+        if deg in lst:
+            counts.update(t - deg for t in lst if t > deg)
+            if all(counts[i] >= alpha for i in range(1, spread + 1)):
+                return v
+    return inst.graph.vertex_count - 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_saturating_instance())
+def test_core_set_stop_matches_the_reference(inst):
+    assert core_set(inst) == reference_core_set(inst)
+    assert kernelize_kr(inst) == reference_kernelize_kr(inst)
+    # The sweep reads the multi-entry lists up to the stop, and no further.
+    logged = _logged(inst)
+    core_set(logged)
+    end = _sweep_end(inst)
+    assert logged.tau.lists.read == [
+        v for v, lst in enumerate(inst.tau.lists) if len(lst) > 1 and v <= end
+    ]
 
 
 @st.composite

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import pytest
 
+from degkit import nce
 from degkit.nce import (
     _max_rise,
     _rises,
@@ -32,6 +33,20 @@ def test_three_vertex_total_six():
 def test_parity_blocked():
     inst = make_nce([1, 1], 1, 3, [{1, 3}, {1, 3}])
     assert nce_traceback(inst) is None
+
+
+def test_target_above_every_reachable_total_builds_no_table(monkeypatch):
+    # The triple's indices rise by at most 2 each, so no total exceeds 6.
+    phi = [{2}, {0, 2}, {0, 2}]
+
+    def no_table(*args):
+        raise AssertionError("a table was built for an unreachable target")
+
+    monkeypatch.setattr(nce, "_rows", no_table)
+    assert nce_traceback(make_nce([0, 0, 0], 7, 2, phi)) is None
+    assert nce_traceback(make_nce([0, 0, 0], 10**9, 2, phi)) is None
+    monkeypatch.undo()
+    assert nce_traceback(make_nce([0, 0, 0], 6, 2, phi)) == (2, 2, 2)
 
 
 def test_all_targets_single_index():
