@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 when the command decided its question (yes or no), 1 on
-usage or parse errors and on a witness that fails `--verify`, 2 when a
-search hit its resource limit.
+usage or parse errors, on a path that cannot be read or written and on a
+witness that fails `--verify`, 2 when a search hit its resource limit.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .dce import (
     validate_solution,
 )
 from .dsc import DscInstance, anonymity_property, solve, validate_completion
-from .errors import DegkitError, InvalidInputError, ResourceLimitError
+from .errors import DegkitError, InvalidInputError, ParseError, ResourceLimitError
 from .factors import f_factor
 from .formats import parse_instance, serialize_instance, serialize_solution
 from .generators import REDUCTION_KINDS, gen_cubic, gen_from_reduction, gen_random_dce
@@ -47,28 +47,30 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from None
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _load(path: str | Path) -> DceInstance | DscInstance:
-    return parse_instance(Path(path).read_text())
+    try:
+        return parse_instance(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _nonnegative(flag: str, value: int) -> int:
+    if value < 0:
+        raise InvalidInputError(f"{flag} must be nonnegative, got {value}")
+    return value
 
 
 def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _emit_solution(inst: DceInstance | DscInstance, sol: EditSolution | None, args) -> None:
+def _solution_text(inst: DceInstance | DscInstance, sol: EditSolution | None, args) -> str:
     text = serialize_solution(sol)
     if sol is not None and args.verify:
         check = validate_solution if isinstance(inst, DceInstance) else validate_completion
         recheck(check, inst, sol, "witness failed verification")
         text += "c verified\n"
-    _emit(text, args.output)
+    return text
 
 
 def _kernelize(inst: DceInstance | DscInstance, param: str):
@@ -77,86 +79,63 @@ def _kernelize(inst: DceInstance | DscInstance, param: str):
     return KERNELS[param](inst)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> str:
+    limit = None if args.limit is None else _nonnegative("--limit", args.limit)
     inst = _load(args.instance)
-    _emit_solution(inst, solve(inst, args.limit), args)
-    return 0
+    return _solution_text(inst, solve(inst, limit), args)
 
 
-def _cmd_kernelize(args) -> int:
+def _cmd_kernelize(args) -> str:
     result = _kernelize(_load(args.instance), args.param)
     if isinstance(result, TrivialNo):
-        _emit("NO\n", args.output)
-    elif isinstance(result, TrivialYes):
-        _emit(serialize_solution(result.witness), args.output)
-    else:
-        mapping = " ".join(str(v + 1) for v in result.old_of_new)
-        text = f"c kernel of {args.instance}\nc original-vertices {mapping}\n"
-        _emit(text + serialize_instance(result.instance), args.output)
-    return 0
+        return "NO\n"
+    if isinstance(result, TrivialYes):
+        return serialize_solution(result.witness)
+    mapping = " ".join(str(v + 1) for v in result.old_of_new)
+    text = f"c kernel of {args.instance}\nc original-vertices {mapping}\n"
+    return text + serialize_instance(result.instance)
 
 
-def _cmd_nce(args) -> int:
+def _cmd_nce(args) -> str:
     inst = _load(args.instance)
     if not isinstance(inst, DceInstance):
         raise InvalidInputError("the numeric problem derives from dce instances")
-    target = inst.k if args.target is None else args.target
-    if target < 0:
-        raise InvalidInputError(f"--target must be nonnegative, got {target}")
-    numeric = make_nce(
-        inst.graph.degrees(), target, inst.r, [set(s) for s in inst.tau.lists]
-    )
+    target = _nonnegative("--target", inst.k if args.target is None else args.target)
+    numeric = make_nce(inst.graph.degrees(), target, inst.r, [set(s) for s in inst.tau.lists])
     witness = nce_traceback(numeric)
-    if witness is None:
-        _emit("NO\n", args.output)
-    else:
-        _emit("YES " + " ".join(map(str, witness)) + "\n", args.output)
-    return 0
+    return "NO\n" if witness is None else "YES " + " ".join(map(str, witness)) + "\n"
 
 
-def _cmd_ffactor(args) -> int:
-    inst = _load(args.instance)
-    g = inst.graph
+def _cmd_ffactor(args) -> str:
+    g = _load(args.instance).graph
     factor = f_factor(g, args.demands or [args.uniform] * g.vertex_count)
     if factor is None:
-        _emit("NO\n", args.output)
-    else:
-        lines = [f"YES {len(factor)}"]
-        lines += [f"e {u + 1} {v + 1}" for u, v in sorted(factor)]
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+        return "NO\n"
+    return f"YES {len(factor)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in sorted(factor))
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> str:
     inst = _load(args.instance)
     cover = None if args.cover is None else {v - 1 for v in args.cover}
     out = gen_from_reduction(args.source, inst.graph, args.size, cover)
-    lines = [
-        f"c reduction {args.source} h={args.size} from {args.instance}",
-    ]
-    for v in range(out.instance.graph.vertex_count):
-        lines.append(f"c role {v + 1} {out.provenance[v]}")
-    _emit("\n".join(lines) + "\n" + serialize_instance(out.instance), args.output)
-    return 0
+    head = f"c reduction {args.source} h={args.size} from {args.instance}\n"
+    roles = "".join(f"c role {v + 1} {role}\n" for v, role in sorted(out.provenance.items()))
+    return head + roles + serialize_instance(out.instance)
 
 
-def _cmd_anonymize(args) -> int:
+def _cmd_anonymize(args) -> str:
     g = _load(args.instance).graph
     inst = DscInstance(g, args.budget, anonymity_property(args.anonymity))
-    _emit_solution(inst, solve(inst), args)
-    return 0
+    return _solution_text(inst, solve(inst), args)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> str:
     if args.kind == "cubic":
         g = gen_cubic(args.n, args.seed)
         inst = make_dce(g, 0, 3, [{3}] * g.vertex_count)
     else:
-        inst = gen_random_dce(
-            args.n, args.edge_prob, args.k, args.r, args.density, args.seed
-        )
-    _emit(serialize_instance(inst), args.output)
-    return 0
+        inst = gen_random_dce(args.n, args.edge_prob, args.k, args.r, args.density, args.seed)
+    return serialize_instance(inst)
 
 
 def _bench_record(path: Path, operation: str) -> dict:
@@ -200,7 +179,7 @@ def _bench_record(path: Path, operation: str) -> dict:
     return record
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> str:
     corpus = sorted(p for p in Path(args.corpus).iterdir() if p.suffix in (".dce", ".dsc"))
     failures = 0
     with open(args.records, "a") as sink:
@@ -208,12 +187,13 @@ def _cmd_bench(args) -> int:
             record = _bench_record(path, args.op)
             failures += record["result"].startswith("error")
             sink.write(json.dumps(record, sort_keys=True) + "\n")
-    print(f"ran {len(corpus)} instances, {failures} errors -> {args.records}")
-    return 0
+    return f"ran {len(corpus)} instances, {failures} errors -> {args.records}\n"
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="degkit", description=__doc__)
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("instance")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("-o", "--output", default=None, help="write output to a file")
     verify = argparse.ArgumentParser(add_help=False)
@@ -221,39 +201,33 @@ def build_parser() -> _Parser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[output, verify], help="decide an instance")
-    p.add_argument("instance")
+    p = sub.add_parser("solve", parents=[instance, output, verify], help="decide an instance")
     p.add_argument("--limit", type=int, default=None, help="search node budget")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("kernelize", parents=[output], help="shrink an instance")
-    p.add_argument("instance")
+    p = sub.add_parser("kernelize", parents=[instance, output], help="shrink an instance")
     p.add_argument("--param", choices=tuple(KERNELS), default="kr")
     p.set_defaults(func=_cmd_kernelize)
 
-    p = sub.add_parser("nce", parents=[output], help="numeric completion on the degrees")
-    p.add_argument("instance")
+    p = sub.add_parser("nce", parents=[instance, output], help="numeric completion on the degrees")
     p.add_argument("--target", type=int, default=None)
     p.set_defaults(func=_cmd_nce)
 
-    p = sub.add_parser("ffactor", parents=[output], help="exact-degree subgraph")
-    p.add_argument("instance")
+    p = sub.add_parser("ffactor", parents=[instance, output], help="exact-degree subgraph")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--demands", type=_int_list, help="comma-separated per-vertex degrees")
     group.add_argument("--uniform", type=int, help="same target degree everywhere")
     p.set_defaults(func=_cmd_ffactor)
 
-    p = sub.add_parser("reduce", parents=[output], help="build a hardness instance")
-    p.add_argument("instance")
+    p = sub.add_parser("reduce", parents=[instance, output], help="build a hardness instance")
     p.add_argument("--from", dest="source", choices=REDUCTION_KINDS, required=True)
     p.add_argument("--size", type=int, required=True, help="h of the source problem")
     p.add_argument("--cover", type=_int_list, help="comma-separated 1-based cover vertices")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser(
-        "anonymize", parents=[output, verify], help="k-anonymize by edge additions"
+        "anonymize", parents=[instance, output, verify], help="k-anonymize by edge additions"
     )
-    p.add_argument("instance")
     p.add_argument("-k", "--anonymity", type=int, required=True)
     p.add_argument("-s", "--budget", type=int, required=True)
     p.set_defaults(func=_cmd_anonymize)
@@ -272,21 +246,28 @@ def build_parser() -> _Parser:
     p.add_argument("corpus")
     p.add_argument("--op", choices=BENCH_OPERATIONS, default="solve")
     p.add_argument("--records", required=True)
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func=_cmd_bench, output=None)  # its summary line goes to stdout
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and write the text it returns to `-o` or to
+    stdout; no other function writes command output."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if args.output:
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
-    except (DegkitError, FileNotFoundError) as exc:
+    except (DegkitError, OSError) as exc:
         print(f"error: {_describe(exc)}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -118,6 +118,19 @@ class Kernel:
     old_of_new: tuple[int, ...]
 
 
+def edit_ends(edit: Edit, expected: str) -> Edit:
+    """The vertices after an edit's word: ("add", u, v), ("del", u, v) or
+    ("rm", v). InvalidInputError unless the word is `expected` and as many
+    vertices follow as it takes."""
+    if not edit or edit[0] != expected:
+        raise InvalidInputError(f"edit {edit} does not match operation {expected}")
+    ends = tuple(edit[1:])
+    wanted = 1 if expected == "rm" else 2
+    if len(ends) != wanted:
+        raise InvalidInputError(f"edit {edit} names {len(ends)} vertices, {expected} takes {wanted}")
+    return ends
+
+
 def validate_solution(inst: DceInstance, sol: EditSolution) -> None:
     """Raise InvalidInputError unless sol is a valid solution of inst."""
     if len(sol.edits) > inst.k:
@@ -133,10 +146,9 @@ def validate_solution(inst: DceInstance, sol: EditSolution) -> None:
     degs = list(g.degrees())
     removed: set[int] = set()
     for edit in sol.edits:
-        if edit[0] != expected:
-            raise InvalidInputError(f"edit {edit} does not match operation {expected}")
+        ends = edit_ends(edit, expected)
         if edit[0] == "rm":
-            v = edit[1]
+            (v,) = ends
             if not (0 <= v < n):
                 raise InvalidInputError(f"vertex {v} out of range")
             if v in removed:
@@ -145,7 +157,7 @@ def validate_solution(inst: DceInstance, sol: EditSolution) -> None:
             for w in g.adj[v]:
                 degs[w] -= 1
         else:
-            e = normalize_edge(edit[1], edit[2])
+            e = normalize_edge(*ends)
             if not (0 <= e[0] and e[1] < n):
                 raise InvalidInputError(f"edge {e} out of range")
             if e in seen:

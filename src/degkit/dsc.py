@@ -21,6 +21,7 @@ from .dce import (
     EditSolution,
     additions,
     brute_force_solve,
+    edit_ends,
     recheck,
     solve_e_plus,
 )
@@ -175,11 +176,10 @@ def validate_completion(inst: DscInstance, sol: EditSolution) -> None:
     """Raise InvalidInputError unless sol is a valid completion of inst:
     additions only, within budget, the property met, no degree above
     delta_prime."""
-    if any(edit[0] != "add" for edit in sol.edits):
-        raise InvalidInputError("a sequence completion only adds edges")
+    edges = [edit_ends(edit, "add") for edit in sol.edits]
     if len(sol) > inst.k:
         raise InvalidInputError(f"{len(sol)} additions exceed budget {inst.k}")
-    final = degree_sequence(add_edges(inst.graph, [edit[1:] for edit in sol.edits]))
+    final = degree_sequence(add_edges(inst.graph, edges))
     if not inst.prop.fulfills(final):
         raise InvalidInputError(f"the completed sequence is not {inst.prop.name}")
     if final and final[0] > inst.delta_prime:

@@ -31,6 +31,7 @@ first line that shows it.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import NoReturn
 
 from .dce import DceInstance, EditKind, EditSolution, make_dce
@@ -54,11 +55,10 @@ _OP_TOKENS = {kind.value: kind for kind in EditKind}
 MAX_VERTICES = 1 << 20
 
 
-_PARAMETERIZED = {
-    "anon": anonymity_property,
-    "hindex": h_index_property,
-    "balanced": balanced_property,
-}
+def _parameterized() -> dict[str, Callable[[int], PiProperty]]:
+    """The properties that take one integer, by file name. Built per call, so
+    a factory rebound on this module (a tracer's wrapper) is the one used."""
+    return {"anon": anonymity_property, "hindex": h_index_property, "balanced": balanced_property}
 
 
 def _parse_property(tokens: list[str], line_no: int) -> PiProperty:
@@ -69,14 +69,15 @@ def _parse_property(tokens: list[str], line_no: int) -> PiProperty:
         if params:
             raise ParseError("regular takes no parameters", line_no)
         return regular_property()
-    if name not in _PARAMETERIZED:
+    factory = _parameterized().get(name)
+    if factory is None:
         raise ParseError(f"unknown property {name!r}", line_no)
     if not params:
         raise ParseError(f"property {name} needs a parameter", line_no)
     if len(params) > 1:
         raise ParseError("trailing tokens on the problem line", line_no)
     try:
-        return _PARAMETERIZED[name](_int(params[0], line_no))
+        return factory(_int(params[0], line_no))
     except InvalidInputError as exc:
         raise ParseError(str(exc), line_no) from exc
 
@@ -249,7 +250,7 @@ def _property_spec(prop: PiProperty) -> str:
     name, _, param = prop.name.partition("-")
     if name == "regular":
         return "regular"
-    if name not in _PARAMETERIZED:
+    if name not in _parameterized():
         raise ParseError(f"property {prop.name!r} has no file syntax")
     return f"{name} {param}"
 

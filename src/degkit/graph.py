@@ -29,7 +29,7 @@ def normalize_edge(u: int, v: int) -> Edge:
 class Graph:
     """A loopless simple graph with sorted adjacency lists."""
 
-    __slots__ = ("vertex_count", "adj", "_degrees")
+    __slots__ = ("vertex_count", "adj", "_degrees", "_max_degree")
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge] = ()):
         if vertex_count < 0:
@@ -67,6 +67,7 @@ class Graph:
         self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self.vertex_count = len(self.adj)
         self._degrees: tuple[int, ...] = tuple(map(len, self.adj))
+        self._max_degree: int | None = None
 
     # -- queries ---------------------------------------------------------
 
@@ -82,7 +83,10 @@ class Graph:
         return self._degrees
 
     def max_degree(self) -> int:
-        return max(self._degrees, default=0)
+        # Worked out on the first call: the graph never changes after it.
+        if self._max_degree is None:
+            self._max_degree = max(self._degrees, default=0)
+        return self._max_degree
 
     def min_degree(self) -> int:
         return min(self._degrees, default=0)

@@ -128,6 +128,15 @@ class TestSolveCommand:
         assert "c verified" not in proc.stdout
         assert "InternalInvariantError" in proc.stderr
 
+    def test_negative_limit_is_rejected(self, tmp_path, capsys):
+        text = "p dce 3 3 2 0 v-\ne 1 2\ne 2 3\ne 1 3\nt 1 0\nt 2 0\nt 3 0\n"
+        path = write(tmp_path, "vd.dce", text)
+        assert main(["solve", path, "--limit", "-5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "InvalidInputError" in captured.err
+        assert "--limit" in captured.err
+
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
@@ -309,6 +318,29 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "InvalidInputError" in captured.err and "out of range" in captured.err
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["instance-is-a-directory", "output-is-a-directory", "records-is-a-directory", "not-utf8"],
+)
+def test_unreadable_or_unwritable_paths_exit_one(tmp_path, fault):
+    # Each fault ends in one error line on stderr, never a traceback.
+    triple = write(tmp_path, "triple.dce", TRIPLE)
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "latin1.dce").write_bytes(b"c caf\xe9\np dce 1 0 0 0\n")
+    argv = {
+        "instance-is-a-directory": ["solve", str(tmp_path)],
+        "output-is-a-directory": ["solve", triple, "-o", str(tmp_path)],
+        "records-is-a-directory": ["bench", str(tmp_path / "corpus"), "--records", str(tmp_path)],
+        "not-utf8": ["solve", str(tmp_path / "latin1.dce")],
+    }[fault]
+    proc = run_python("-m", "degkit.cli", *argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 class TestBenchCommand:

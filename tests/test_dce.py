@@ -646,10 +646,23 @@ class TestValidation:
                 [("rm", 0)],
                 "off its list",
             ),
+            (triple_instance(), [("add", 0, 1, "junk")], "names 3 vertices, add takes 2"),
+            (triple_instance(), [("add", 0)], "names 1 vertices, add takes 2"),
+            (
+                make_dce(k3(), 3, 0, [{0}] * 3, EditKind.VERTEX_DELETION),
+                [("rm", 0, 1)],
+                "names 2 vertices, rm takes 1",
+            ),
+            (
+                make_dce(k3(), 3, 0, [{0}] * 3, EditKind.VERTEX_DELETION),
+                [("rm",)],
+                "names 0 vertices, rm takes 1",
+            ),
         ],
         ids=[
             "repeated-edit", "add-out-of-range", "add-present", "delete-absent",
             "remove-twice", "remove-out-of-range", "survivor-off-list",
+            "add-extra-token", "add-one-end", "remove-two-ends", "remove-no-end",
         ],
     )
     def test_rejects(self, inst, edits, reason):

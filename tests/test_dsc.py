@@ -566,8 +566,13 @@ class TestValidateCompletion:
                 (("add", 0, 1), ("add", 0, 2), ("add", 1, 2)),
             ),
             (DscInstance(path3(), 1, anonymity_property(2), 2), ()),
+            (DscInstance(path3(), 1, regular_property(), 2), (("add", 0, 2, "junk"),)),
+            (DscInstance(path3(), 1, regular_property(), 2), (("add", 0),)),
         ],
-        ids=["deletion", "over-budget", "present-edge", "above-cap", "property"],
+        ids=[
+            "deletion", "over-budget", "present-edge", "above-cap", "property",
+            "extra-token", "one-end",
+        ],
     )
     def test_rejects(self, inst, edits):
         with pytest.raises(InvalidInputError):

@@ -53,6 +53,20 @@ class TestParseInstance:
         assert inst.prop == anonymity_property(2)
         assert inst.delta_prime == 3  # max degree 1 + k 2
 
+    def test_property_factory_is_looked_up_at_parse_time(self, monkeypatch):
+        # A wrapper rebound on the module, as the benchmark's tracer binds
+        # its counting one, is the factory a parsed file goes through.
+        seen = []
+
+        def wrapped(k):
+            seen.append(k)
+            return anonymity_property(k)
+
+        monkeypatch.setattr(formats, "anonymity_property", wrapped)
+        inst = parse_instance("p dsc 3 1 2 anon 2\ne 1 2\n")
+        assert seen == [2]
+        assert inst.prop == anonymity_property(2)
+
     def test_index_error_carries_line(self):
         with pytest.raises(ParseError) as err:
             parse_instance("p dce 3 1 1 1\ne 1 5\n")

@@ -65,6 +65,20 @@ class TestConstruction:
             g = random_graph(rng.randrange(0, 9), 0.4, rng)
             assert 2 * g.edge_count == sum(g.degrees())
 
+    def test_max_degree_is_each_graphs_own(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            g = random_graph(rng.randrange(0, 9), 0.4, rng)
+            # The first call works the answer out, the second reads it back.
+            assert g.max_degree() == g.max_degree() == max(g.degrees(), default=0)
+        # A graph derived from one whose answer is known works out its own.
+        star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        assert star.max_degree() == 3
+        assert complement(star).max_degree() == 2
+        assert induced_subgraph(star, [1, 2, 3])[0].max_degree() == 0
+        assert add_edges(star, [(1, 2)]).max_degree() == 3
+        assert remove_edges(star, [(0, 1)]).max_degree() == 2
+
 
 class TestDegreeSequence:
     def test_edgeless(self):

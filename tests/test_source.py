@@ -56,8 +56,9 @@ def test_imports_only_the_standard_library(path):
 
 
 def callers(name):
-    """The functions, as file:function, that call `name`; a call inside a
-    nested function counts for every function around it."""
+    """The functions, as file:function, that call `name`, a bare or an
+    attribute name or a dotted path such as `sys.stdout.write`; a call inside
+    a nested function counts for every function around it."""
     found = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -67,6 +68,7 @@ def callers(name):
                     if isinstance(node, ast.Call) and name in (
                         getattr(node.func, "id", None),
                         getattr(node.func, "attr", None),
+                        ast.unparse(node.func),
                     ):
                         found.add(f"{path.name}:{fn.name}")
     return found
@@ -83,3 +85,10 @@ def test_one_function_orders_search_and_realization():
     # the order of search and realization from the threshold lives there,
     # so no caller can build its own fallback again.
     assert callers("realize_least") == {"dce.py:realize_e_plus", "dsc.py:dsc_solve"}
+
+
+@pytest.mark.parametrize("writer", ["write_text", "sys.stdout.write", "print"])
+def test_only_main_writes_command_output(writer):
+    # Every subcommand returns its text and main writes it once, to -o or to
+    # stdout, so a line appended to every command's output has one place to go.
+    assert callers(writer) == {"cli.py:main"}
