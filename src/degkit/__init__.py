@@ -8,9 +8,9 @@ with k-anonymization built in, the classic hardness constructions as
 instance transformers, and a DIMACS-flavored file format with a CLI.
 """
 
-from .graph import Graph, add_edges, complement, degree_sequence, induced_subgraph, remove_edges
+from .graph import Graph, complement, induced_subgraph
 from .matching import max_matching
-from .factors import f_factor, kt_condition_holds
+from .factors import f_factor
 from .nce import NceInstance, make_nce, nce_decide_all_targets, nce_traceback
 from .dce import (
     DceInstance,
@@ -58,7 +58,7 @@ from .reductions import (
     twin_classes,
     vc_to_dce_vminus,
 )
-from .generators import gen_cubic, gen_from_reduction, gen_random_dce, gen_random_graph
+from .generators import gen_cubic, gen_from_reduction, gen_random_dce
 from .formats import parse_instance, parse_solution, serialize_instance, serialize_solution
 from .errors import (
     DegkitError,

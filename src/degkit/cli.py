@@ -101,7 +101,7 @@ def _cmd_nce(args) -> str:
     if not isinstance(inst, DceInstance):
         raise InvalidInputError("the numeric problem derives from dce instances")
     target = _nonnegative("--target", inst.k if args.target is None else args.target)
-    numeric = make_nce(inst.graph.degrees(), target, inst.r, [set(s) for s in inst.tau.lists])
+    numeric = make_nce(inst.graph.degrees(), target, inst.r, inst.tau.lists)
     witness = nce_traceback(numeric)
     return "NO\n" if witness is None else "YES " + " ".join(map(str, witness)) + "\n"
 

@@ -118,37 +118,28 @@ class Kernel:
     old_of_new: tuple[int, ...]
 
 
-def edit_ends(edit: Edit, expected: str) -> Edit:
-    """The vertices after an edit's word: ("add", u, v), ("del", u, v) or
-    ("rm", v). InvalidInputError unless the word is `expected` and as many
-    vertices follow as it takes."""
-    if not edit or edit[0] != expected:
-        raise InvalidInputError(f"edit {edit} does not match operation {expected}")
-    ends = tuple(edit[1:])
-    wanted = 1 if expected == "rm" else 2
-    if len(ends) != wanted:
-        raise InvalidInputError(f"edit {edit} names {len(ends)} vertices, {expected} takes {wanted}")
-    return ends
+def edited_degrees(g: Graph, edits: Iterable[Edit], word: str) -> tuple[list[int], set[int]]:
+    """The degrees, indexed by vertex, that the edits leave in g, and the
+    vertices they delete; a deleted vertex keeps a stale entry.
 
-
-def validate_solution(inst: DceInstance, sol: EditSolution) -> None:
-    """Raise InvalidInputError unless sol is a valid solution of inst."""
-    if len(sol.edits) > inst.k:
-        raise InvalidInputError(f"{len(sol.edits)} edits exceed budget {inst.k}")
-    g, tau = inst.graph, inst.tau
+    Every edit must be `word` ("add", "del" or "rm") followed by as many
+    vertices as it takes. InvalidInputError for any other edit, an end out
+    of range, a loop, an edge or vertex edited twice, an added edge that is
+    already present or a deleted one that is not.
+    """
     n = g.vertex_count
-    expected = {
-        EditKind.EDGE_ADDITION: "add",
-        EditKind.EDGE_DELETION: "del",
-        EditKind.VERTEX_DELETION: "rm",
-    }[inst.op_kind]
-    seen: set[Edge] = set()
+    wanted = 1 if word == "rm" else 2
+    step = -1 if word == "del" else 1
     degs = list(g.degrees())
+    seen: set[Edge] = set()
     removed: set[int] = set()
-    for edit in sol.edits:
-        ends = edit_ends(edit, expected)
-        if edit[0] == "rm":
-            (v,) = ends
+    for edit in edits:
+        if not edit or edit[0] != word:
+            raise InvalidInputError(f"edit {edit} does not match operation {word}")
+        if len(edit) != wanted + 1:
+            raise InvalidInputError(f"edit {edit} names {len(edit) - 1} vertices, {word} takes {wanted}")
+        if word == "rm":
+            v = edit[1]
             if not (0 <= v < n):
                 raise InvalidInputError(f"vertex {v} out of range")
             if v in removed:
@@ -156,22 +147,34 @@ def validate_solution(inst: DceInstance, sol: EditSolution) -> None:
             removed.add(v)
             for w in g.adj[v]:
                 degs[w] -= 1
-        else:
-            e = normalize_edge(*ends)
-            if not (0 <= e[0] and e[1] < n):
-                raise InvalidInputError(f"edge {e} out of range")
-            if e in seen:
-                raise InvalidInputError(f"duplicate edit on edge {e}")
-            seen.add(e)
-            present = g.has_edge(*e)
-            if edit[0] == "add" and present:
-                raise InvalidInputError(f"edge {e} already present")
-            if edit[0] == "del" and not present:
-                raise InvalidInputError(f"edge {e} not present")
-            delta = 1 if edit[0] == "add" else -1
-            degs[e[0]] += delta
-            degs[e[1]] += delta
-    for v in _unsatisfied(degs, tau.lists):
+            continue
+        u, v = e = normalize_edge(edit[1], edit[2])
+        if not (0 <= u and v < n):
+            raise InvalidInputError(f"edge {e} out of range")
+        if e in seen:
+            raise InvalidInputError(f"duplicate edit on edge {e}")
+        seen.add(e)
+        present = g.has_edge(u, v)
+        if word == "add" and present:
+            raise InvalidInputError(f"edge {e} already present")
+        if word == "del" and not present:
+            raise InvalidInputError(f"edge {e} not present")
+        degs[u] += step
+        degs[v] += step
+    return degs, removed
+
+
+def validate_solution(inst: DceInstance, sol: EditSolution) -> None:
+    """Raise InvalidInputError unless sol is a valid solution of inst."""
+    if len(sol.edits) > inst.k:
+        raise InvalidInputError(f"{len(sol.edits)} edits exceed budget {inst.k}")
+    word = {
+        EditKind.EDGE_ADDITION: "add",
+        EditKind.EDGE_DELETION: "del",
+        EditKind.VERTEX_DELETION: "rm",
+    }[inst.op_kind]
+    degs, removed = edited_degrees(inst.graph, sol.edits, word)
+    for v in _unsatisfied(degs, inst.tau.lists):
         if v not in removed:
             raise InvalidInputError(f"vertex {v} ends at degree {degs[v]} off its list")
 

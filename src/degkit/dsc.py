@@ -21,13 +21,13 @@ from .dce import (
     EditSolution,
     additions,
     brute_force_solve,
-    edit_ends,
+    edited_degrees,
     recheck,
     solve_e_plus,
 )
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from .factors import realize_least, solution_threshold
-from .graph import Edge, Graph, add_edges, degree_sequence
+from .graph import Edge, Graph
 
 # Block-sets above this many vertices are refused: the enumeration over
 # their non-edges would not finish.
@@ -102,6 +102,13 @@ def block_set(g: Graph, k: int) -> set[int]:
 
 
 def completed_sequence(degrees: Sequence[int], additions: Sequence[Edge]) -> tuple[int, ...]:
+    """The nonincreasing degree tuple after the additions, checking nothing.
+
+    The block-set enumeration calls this once per candidate, and its pairs
+    are distinct non-edges by construction, so the checks of
+    `dce.edited_degrees` would only slow it down; `dsc_solve` re-validates
+    the set it returns through them.
+    """
     d = list(degrees)
     for u, v in additions:
         d[u] += 1
@@ -176,10 +183,10 @@ def validate_completion(inst: DscInstance, sol: EditSolution) -> None:
     """Raise InvalidInputError unless sol is a valid completion of inst:
     additions only, within budget, the property met, no degree above
     delta_prime."""
-    edges = [edit_ends(edit, "add") for edit in sol.edits]
     if len(sol) > inst.k:
         raise InvalidInputError(f"{len(sol)} additions exceed budget {inst.k}")
-    final = degree_sequence(add_edges(inst.graph, edges))
+    degs, _ = edited_degrees(inst.graph, sol.edits, "add")
+    final = tuple(sorted(degs, reverse=True))
     if not inst.prop.fulfills(final):
         raise InvalidInputError(f"the completed sequence is not {inst.prop.name}")
     if final and final[0] > inst.delta_prime:
@@ -423,8 +430,11 @@ def solve(inst: DceInstance | DscInstance, limit: int | None = None) -> EditSolu
     anchored search and the block-set enumeration as its exact searches.
     Every answer is minimum unless an exact search hit its limit (`limit`,
     or a block-set above `CORE_CAP`) and the realization from the
-    threshold up answered instead. `limit` bounds only the exact searches.
+    threshold up answered instead. `limit` bounds only the exact searches;
+    a negative one raises InvalidInputError.
     """
+    if limit is not None and limit < 0:
+        raise InvalidInputError(f"limit must be nonnegative, got {limit}")
     if isinstance(inst, DscInstance):
         edges = dsc_solve(inst) if limit is None else dsc_solve(inst, enum_limit=limit)
         return None if edges is None else additions(edges)

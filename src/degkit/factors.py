@@ -19,18 +19,6 @@ from .graph import DemandFunction, Edge, Graph, complement, induced_subgraph
 from .matching import max_matching
 
 
-def kt_condition_holds(n: int, min_degree: int, r: int) -> bool:
-    """Sufficient density condition for guaranteed factor existence.
-
-    When it holds, every demand function into {1, ..., r} with even total
-    admits a factor (Katerinis-Tsikopoulos bound specialized to a=1, b=r:
-    minimum degree at least n - r - 1 and n at least (r+1)^2).
-    """
-    if r < 1:
-        raise InvalidInputError("r must be at least 1")
-    return min_degree >= n - r - 1 and n >= (r + 1) ** 2
-
-
 def f_factor(g: Graph, f: DemandFunction) -> set[Edge] | None:
     """Return an edge set with degree exactly f(v) at every v, or None.
 
@@ -166,7 +154,7 @@ def realize_demands(g: Graph, demand: DemandFunction) -> set[Edge] | None:
 def solution_threshold(r: int) -> int:
     """r(r+1)^2: a witness of at least that many edges whose final degrees
     are at most r always realizes, since its affected vertices are then
-    numerous enough for the density condition."""
+    numerous enough for the Katerinis-Tsikopoulos density condition."""
     return r * (r + 1) ** 2
 
 

@@ -21,7 +21,8 @@ wait for the end, since only the whole file shows them. Solutions are
 `parse_instance` reads an instance in one pass over its lines: a token goes
 through int() at most once, each edge lands in its two endpoints' adjacency
 lists (which share one int object per vertex), and each degree list is
-range-checked here and nowhere else on the way to its frozenset. Sorting
+range-checked on the way to its frozenset. `DegreeListFunction` checks
+every list again; the check here exists to name the line. Sorting
 the lists exposes repeated edges; only then is the text scanned again, to
 name the line of the first repeat. The sorted lists
 become the Graph through `Graph.from_sorted_adjacency`, without the

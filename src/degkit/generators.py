@@ -38,12 +38,6 @@ def _gnp_edges(n: int, p: float, rng: random.Random) -> list[Edge]:
     return edges
 
 
-def gen_random_graph(n: int, edge_prob: float, seed: int) -> Graph:
-    if n < 0 or not (0.0 <= edge_prob <= 1.0):
-        raise InvalidInputError("need n >= 0 and edge_prob in [0, 1]")
-    return Graph(n, _gnp_edges(n, edge_prob, random.Random(seed)))
-
-
 def gen_random_dce(
     n: int,
     edge_prob: float,

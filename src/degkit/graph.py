@@ -88,9 +88,6 @@ class Graph:
             self._max_degree = max(self._degrees, default=0)
         return self._max_degree
 
-    def min_degree(self) -> int:
-        return min(self._degrees, default=0)
-
     def has_edge(self, u: int, v: int) -> bool:
         ns = self.adj[u]
         i = bisect_left(ns, v)
@@ -115,11 +112,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
-
-
-def degree_sequence(g: Graph) -> tuple[int, ...]:
-    """All vertex degrees in nonincreasing order."""
-    return tuple(sorted(g.degrees(), reverse=True))
 
 
 def repeated_neighbor(adj: Sequence[Sequence[int]]) -> Edge | None:
@@ -167,24 +159,3 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     # The renumbering keeps the order, so each kept list stays increasing.
     adj = [[i for w in g.adj[old] if (i := new_of_old[w]) >= 0] for old in keep]
     return Graph.from_sorted_adjacency(adj), tuple(keep)
-
-
-def add_edges(g: Graph, new_edges: Iterable[Edge]) -> Graph:
-    """Return G plus the given edges; Graph() rejects present and repeated
-    edges (EdgeConflictError) and loops or out-of-range ends."""
-    return Graph(g.vertex_count, [*g.edges(), *new_edges])
-
-
-def remove_edges(g: Graph, old_edges: Iterable[Edge]) -> Graph:
-    """Return G minus the given edges. A loop or an edge that G lacks, an end
-    outside 0..n-1 included, raises InvalidInputError; a repeat, EdgeConflictError."""
-    n = g.vertex_count
-    gone: set[Edge] = set()
-    for u, v in old_edges:
-        e = normalize_edge(u, v)
-        if not (0 <= e[0] and e[1] < n and g.has_edge(*e)):
-            raise InvalidInputError(f"edge {e} not present")
-        if e in gone:
-            raise EdgeConflictError(f"duplicate edge {e} in removal set")
-        gone.add(e)
-    return Graph(n, [e for e in g.edges() if e not in gone])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from operator import contains, lt, sub
 
 from .errors import InternalInvariantError, InvalidInputError
@@ -39,7 +39,7 @@ class NceInstance:
                 raise InvalidInputError(f"allowed degree outside 0..{self.r}")
 
 
-def make_nce(degrees: Sequence[int], k: int, r: int, phi: Sequence[set[int]]) -> NceInstance:
+def make_nce(degrees: Sequence[int], k: int, r: int, phi: Sequence[Iterable[int]]) -> NceInstance:
     return NceInstance(tuple(degrees), k, r, tuple(frozenset(s) for s in phi))
 
 

@@ -1,14 +1,16 @@
 """Independent brute-force oracles.
 
 Everything here enumerates, except the networkx matching size for graphs
-beyond enumeration; nothing reuses the solver paths under test. Sizes are
+beyond enumeration and a few plain helpers such as `add_edges`, which
+rebuilds through the checked `Graph` constructor; nothing reuses the
+solver paths under test. Sizes are
 expected to be tiny (n <= ~14, m <= ~18).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from degkit.dce import (
     DceInstance,
@@ -37,6 +39,18 @@ def all_pairs(n: int) -> list[Edge]:
 
 def non_edges(g: Graph) -> list[Edge]:
     return [e for e in all_pairs(g.vertex_count) if not g.has_edge(*e)]
+
+
+def add_edges(g: Graph, new_edges: Iterable[Edge]) -> Graph:
+    """G plus the given edges, rebuilt through the checked constructor, which
+    rejects present and repeated edges (EdgeConflictError) and loops or
+    out-of-range ends."""
+    return Graph(g.vertex_count, [*g.edges(), *new_edges])
+
+
+def degree_sequence(g: Graph) -> tuple[int, ...]:
+    """All vertex degrees in nonincreasing order."""
+    return tuple(sorted(g.degrees(), reverse=True))
 
 
 # -- matching ------------------------------------------------------------
@@ -110,6 +124,18 @@ def brute_f_factor_exists(g: Graph, f: Sequence[int]) -> bool:
         return False
 
     return rec(0)
+
+
+def kt_condition_holds(n: int, min_degree: int, r: int) -> bool:
+    """Sufficient density condition for guaranteed factor existence.
+
+    When it holds, every demand function into {1, ..., r} with even total
+    admits a factor (Katerinis-Tsikopoulos bound specialized to a=1, b=r:
+    minimum degree at least n - r - 1 and n at least (r+1)^2).
+    """
+    if r < 1:
+        raise InvalidInputError("r must be at least 1")
+    return min_degree >= n - r - 1 and n >= (r + 1) ** 2
 
 
 def is_valid_factor(g: Graph, f: Sequence[int], factor: set[Edge]) -> bool:

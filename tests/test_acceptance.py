@@ -26,10 +26,10 @@ from degkit.dsc import (
     dsc_fpt_solve,
     regular_property,
 )
-from degkit.factors import f_factor, kt_condition_holds
+from degkit.factors import f_factor
 from degkit.formats import parse_instance, serialize_instance
 from degkit.generators import gen_cubic, gen_random_dce
-from degkit.graph import Graph, add_edges, degree_sequence
+from degkit.graph import Graph
 from degkit.nce import least_even_total, make_nce, nce_traceback
 from degkit.reductions import (
     approx_vertex_cover,
@@ -42,13 +42,16 @@ from degkit.reductions import (
 from degkit.winwin import TrivialYes, kernelize_r, solution_threshold, try_large_solution
 
 from oracles import (
+    add_edges,
     brute_dsc,
     brute_f_factor_exists,
     brute_nce,
+    degree_sequence,
     has_clique,
     has_independent_set,
     has_vertex_cover,
     is_valid_factor,
+    kt_condition_holds,
     reference_least_even_total,
     small_graphs,
     winwin_numbers,
@@ -169,7 +172,7 @@ def test_criterion_4_density_sufficiency():
         if r == 1 and n % 2 == 1:
             continue
         g = _dense_graph(n, r, rng)
-        if not kt_condition_holds(n, g.min_degree(), r):
+        if not kt_condition_holds(n, min(g.degrees()), r):
             continue
         f = [rng.randrange(1, r + 1) for _ in range(n)]
         if sum(f) % 2 == 1:

@@ -18,6 +18,7 @@ from degkit.dce import (
     TrivialNo,
     brute_force_solve,
     core_set,
+    edited_degrees,
     kernelize_kr,
     make_dce,
     rule2_check,
@@ -25,9 +26,9 @@ from degkit.dce import (
     solve_e_plus,
     validate_solution,
 )
-from degkit.dsc import solve
+from degkit.dsc import DscInstance, regular_property, solve
 from degkit.errors import InternalInvariantError, InvalidInputError, ResourceLimitError
-from degkit.graph import Graph
+from degkit.graph import Graph, induced_subgraph
 from degkit.nce import least_even_total
 
 from oracles import (
@@ -668,6 +669,68 @@ class TestValidation:
     def test_rejects(self, inst, edits, reason):
         with pytest.raises(InvalidInputError, match=reason):
             validate_solution(inst, EditSolution(tuple(edits)))
+
+
+class TestEditedDegrees:
+    def test_matches_the_checked_constructor(self):
+        # Each word's degrees against the graph its edits leave, rebuilt by
+        # Graph(n, edges); ends come in either order.
+        rng = random.Random(4)
+        for _ in range(60):
+            inst = random_instance(rng, n_max=12)
+            g, n = inst.graph, inst.graph.vertex_count
+            present = list(g.edges())
+            absent = [e for e in all_pairs(n) if not g.has_edge(*e)]
+            added = [e for e in absent if rng.random() < 0.4]
+            gone = [e for e in present if rng.random() < 0.4]
+            for word, pairs, edges in [
+                ("add", added, present + added),
+                ("del", gone, [e for e in present if e not in set(gone)]),
+            ]:
+                edits = [(word, *(e[::-1] if rng.random() < 0.5 else e)) for e in pairs]
+                degs, removed = edited_degrees(g, edits, word)
+                assert tuple(degs) == Graph(n, edges).degrees()
+                assert removed == set()
+            deleted = {v for v in range(n) if rng.random() < 0.3}
+            degs, removed = edited_degrees(g, [("rm", v) for v in deleted], "rm")
+            assert removed == deleted
+            sub, old_of_new = induced_subgraph(g, set(range(n)) - deleted)
+            assert [degs[old] for old in old_of_new] == list(sub.degrees())
+
+    @pytest.mark.parametrize(
+        "edits, word, reason",
+        [
+            ([("del", 0, 2)], "del", "not present"),
+            ([("del", -1, 1)], "del", "out of range"),
+            ([("del", 1, -1)], "del", "out of range"),
+            ([("del", 5, 7)], "del", "out of range"),
+            ([("del", 2, 3)], "del", "out of range"),
+            ([("del", 0, 1), ("del", 1, 0)], "del", "duplicate edit"),
+            ([("add", 1, 1)], "add", "self-loop"),
+            ([("rm", 0)], "del", "does not match"),
+        ],
+        ids=[
+            "delete-absent", "low-first-end", "low-second-end", "both-ends-high",
+            "second-end-high", "repeat-either-order", "loop", "wrong-word",
+        ],
+    )
+    def test_rejects(self, edits, word, reason):
+        with pytest.raises(InvalidInputError, match=reason):
+            edited_degrees(Graph(3, [(0, 1), (1, 2)]), edits, word)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        make_dce(Graph(2), 1, 1, [{1}, {1}]),
+        make_dce(Graph(2, [(0, 1)]), 1, 1, [{0}, {0}], EditKind.EDGE_DELETION),
+        DscInstance(Graph(3, [(0, 1), (1, 2)]), 1, regular_property(), 2),
+    ],
+    ids=["e+", "e-", "dsc"],
+)
+def test_solve_rejects_a_negative_limit(inst):
+    with pytest.raises(InvalidInputError, match="limit must be nonnegative"):
+        solve(inst, -1)
 
 
 class TestWrongSearchAnswerIsADefect:

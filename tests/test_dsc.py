@@ -25,10 +25,10 @@ from degkit.dsc import (
 )
 from degkit.errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from degkit.factors import realize_least, solution_threshold
-from degkit.generators import gen_random_graph
-from degkit.graph import Graph, add_edges, degree_sequence
+from degkit.generators import gen_random_dce
+from degkit.graph import Graph
 
-from oracles import all_pairs, brute_dsc, brute_nsc
+from oracles import add_edges, all_pairs, brute_dsc, brute_nsc, degree_sequence
 
 
 def path3() -> Graph:
@@ -291,7 +291,7 @@ class TestDscSolve:
         # No common degree c >= max degree has 24c - sum(d) even and at most
         # 2k, so the loop tries no factor; enumerating the block-set
         # instead exceeds the candidate limit.
-        g = gen_random_graph(24, 0.3, seed)
+        g = gen_random_dce(24, 0.3, 0, 0, 0.0, seed).graph
         inst = DscInstance(g, 4, regular_property(), g.max_degree() + 4)
         assert dsc_solve(inst) is None
 
@@ -556,26 +556,42 @@ class TestValidateCompletion:
         validate_completion(inst, EditSolution((("add", 0, 2),)))
 
     @pytest.mark.parametrize(
-        "inst, edits",
+        "inst, edits, reason",
         [
-            (DscInstance(path3(), 1, regular_property(), 2), (("del", 0, 1),)),
-            (DscInstance(Graph(4), 1, regular_property(), 1), (("add", 0, 1), ("add", 2, 3))),
-            (DscInstance(path3(), 1, regular_property(), 2), (("add", 0, 1),)),
+            (DscInstance(path3(), 1, regular_property(), 2), (("del", 0, 1),), "does not match"),
+            (
+                DscInstance(Graph(4), 1, regular_property(), 1),
+                (("add", 0, 1), ("add", 2, 3)),
+                "exceed budget",
+            ),
+            (DscInstance(path3(), 1, regular_property(), 2), (("add", 0, 1),), "already present"),
             (
                 DscInstance(Graph(3), 3, regular_property(), 1),
                 (("add", 0, 1), ("add", 0, 2), ("add", 1, 2)),
+                "exceeds 1",
             ),
-            (DscInstance(path3(), 1, anonymity_property(2), 2), ()),
-            (DscInstance(path3(), 1, regular_property(), 2), (("add", 0, 2, "junk"),)),
-            (DscInstance(path3(), 1, regular_property(), 2), (("add", 0),)),
+            (DscInstance(path3(), 1, anonymity_property(2), 2), (), "not anon"),
+            (
+                DscInstance(path3(), 1, regular_property(), 2),
+                (("add", 0, 2, "junk"),),
+                "names 3 vertices",
+            ),
+            (DscInstance(path3(), 1, regular_property(), 2), (("add", 0),), "names 1 vertices"),
+            (DscInstance(path3(), 1, regular_property(), 2), (("add", 0, 3),), "out of range"),
+            (DscInstance(path3(), 1, regular_property(), 2), (("add", 2, 2),), "self-loop"),
+            (
+                DscInstance(path3(), 2, regular_property(), 2),
+                (("add", 0, 2), ("add", 2, 0)),
+                "duplicate edit",
+            ),
         ],
         ids=[
             "deletion", "over-budget", "present-edge", "above-cap", "property",
-            "extra-token", "one-end",
+            "extra-token", "one-end", "out-of-range", "loop", "added-twice",
         ],
     )
-    def test_rejects(self, inst, edits):
-        with pytest.raises(InvalidInputError):
+    def test_rejects(self, inst, edits, reason):
+        with pytest.raises(InvalidInputError, match=reason):
             validate_completion(inst, EditSolution(edits))
 
 

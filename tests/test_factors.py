@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from degkit import factors
 from degkit.errors import InternalInvariantError, InvalidInputError
-from degkit.factors import f_factor, kt_condition_holds
+from degkit.factors import f_factor
 from degkit.graph import Graph
 from degkit.matching import max_matching
 
-from oracles import brute_f_factor_exists, is_valid_factor
+from oracles import brute_f_factor_exists, is_valid_factor, kt_condition_holds
 
 
 def cycle(n: int) -> Graph:
@@ -177,7 +177,7 @@ class TestKtCondition:
                 if (u, v) not in missing
             ]
             g = Graph(n, edges)
-            if not kt_condition_holds(n, g.min_degree(), r):
+            if not kt_condition_holds(n, min(g.degrees()), r):
                 continue
             f = [rng.randrange(1, r + 1) for _ in range(n)]
             if sum(f) % 2 == 1:

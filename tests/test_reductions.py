@@ -259,7 +259,7 @@ def _clique_source(draw):
     least h. The cover is the approximate one, or it plus extra vertices.
     Up to five vertices, every such question has answer yes."""
     g = draw(_small_graph(2, 5, isolated=False))
-    h = draw(st.integers(1, g.min_degree()))
+    h = draw(st.integers(1, min(g.degrees())))
     extra = draw(st.sets(st.integers(0, g.vertex_count - 1)))
     return g, h, approx_vertex_cover(g) | extra
 

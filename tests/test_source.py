@@ -80,6 +80,12 @@ def test_one_function_realizes_demands():
     assert callers("realize_demands") == {"factors.py:realize_least"}
 
 
+def test_one_function_applies_edits():
+    # Both validators read what an edit list leaves through the one checked
+    # loop in dce, so no second copy can name a fault another way.
+    assert callers("edited_degrees") == {"dce.py:validate_solution", "dsc.py:validate_completion"}
+
+
 def test_one_function_orders_search_and_realization():
     # Both completion problems hand realize_least only their exact search;
     # the order of search and realization from the threshold lives there,

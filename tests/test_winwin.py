@@ -17,7 +17,7 @@ from degkit.dce import (
 )
 from degkit import factors
 from degkit.errors import InternalInvariantError, InvalidInputError
-from degkit.graph import Graph, add_edges
+from degkit.graph import Graph
 from degkit.nce import make_nce, nce_traceback
 from degkit.winwin import (
     TrivialYes,
@@ -27,7 +27,7 @@ from degkit.winwin import (
     try_large_solution,
 )
 
-from oracles import all_pairs, naive_dce_min_edits
+from oracles import add_edges, all_pairs, naive_dce_min_edits
 
 
 def ten_isolated_instance(k: int = 5):
