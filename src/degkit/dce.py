@@ -207,14 +207,16 @@ def _unsatisfied(degs: Sequence[int], lists: Sequence[frozenset[int]]) -> Iterat
 def _keep_only(inst: DceInstance, keep: Iterable[int]) -> DceInstance:
     """The instance induced on the vertices keep, renumbered in increasing
     order; each kept list shifts down by the neighbors its vertex lost,
-    deg_G(old) - deg_kept(new)."""
+    deg_G(old) - deg_kept(new). Equal shifted lists share one frozenset."""
     g, lists = inst.graph, inst.tau.lists
     sub, old_of_new = induced_subgraph(g, keep)
     degs = g.degrees()
+    shared: dict[frozenset[int], frozenset[int]] = {}
     kept = []
     for old, deg in zip(old_of_new, sub.degrees()):
         shift = degs[old] - deg
-        kept.append(frozenset(t - shift for t in lists[old] if t >= shift))
+        values = frozenset(t - shift for t in lists[old] if t >= shift)
+        kept.append(shared.setdefault(values, values))
     return DceInstance(sub, inst.k, DegreeListFunction(inst.r, tuple(kept)), inst.op_kind)
 
 

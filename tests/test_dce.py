@@ -242,6 +242,19 @@ class TestKernelizeKr:
         assert brute_force_solve(inst) is not None
         assert brute_force_solve(result.instance) is not None
 
+    def test_equal_shifted_lists_share_one_frozenset(self):
+        # Leaves 1..5 of a star lose the center, whose one-entry list gives
+        # it no type: four {1, 2} lists, each its own frozenset, shift to one
+        # shared {0, 1}, and {1, 3} to {0, 2}.
+        inst = make_dce(Graph(6, [(0, v) for v in range(1, 6)]), 1, 5,
+                        [{5}, {1, 2}, {1, 2}, {1, 2}, {1, 2}, {1, 3}])
+        assert len({id(s) for s in inst.tau.lists}) == 6
+        result = kernelize_kr(inst)
+        assert isinstance(result, Kernel) and result.old_of_new == (1, 2, 3, 4, 5)
+        lists = result.instance.tau.lists
+        assert lists == (frozenset({0, 1}),) * 4 + (frozenset({0, 2}),)
+        assert len({id(s) for s in lists}) == len(set(lists)) == 2
+
     def test_rule2_failure_propagates(self):
         inst = make_dce(k3(), 1, 2, [{0}, {0}, {0}])
         assert isinstance(kernelize_kr(inst), TrivialNo)

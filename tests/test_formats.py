@@ -47,6 +47,17 @@ class TestParseInstance:
         inst = parse_instance("p dce 2 0 1 1\nt 1 0\n")
         assert inst.tau[1] == frozenset()
 
+    def test_equal_lists_share_one_frozenset(self):
+        # Three spellings of {1, 2}, a one-entry list, and an empty list
+        # spelled out next to a missing one.
+        text = "p dce 6 0 1 3\nt 1 1 2\nt 2 2 1\nt 3 2 1 1\nt 4 3\nt 5\n"
+        inst = parse_instance(text)
+        lists = inst.tau.lists
+        assert inst == make_dce(Graph(6), 1, 3, [{1, 2}] * 3 + [{3}, set(), set()])
+        assert lists[0] is lists[1] is lists[2]
+        assert lists[4] is lists[5]
+        assert len({id(s) for s in lists}) == len(set(lists)) == 3
+
     def test_dsc_header(self):
         inst = parse_instance("p dsc 3 1 2 anon 2\ne 1 2\n")
         assert isinstance(inst, DscInstance)
@@ -187,6 +198,26 @@ class TestParseInstance:
             reference_parse_instance(text)
         assert err.value.line == line
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            # A bad token in a spelling that repeats names its first line.
+            ("p dce 3 0 1 2\nt 1 1 2\nt 2 1 x\nt 3 1 x\n", 3, "expected an integer, got 'x'"),
+            ("p dce 3 0 1 2\nt 1 1 x\nt 2 1 x\n", 2, "expected an integer, got 'x'"),
+            # A new spelling is range-checked although its first entry was seen.
+            ("p dce 2 0 1 8\nt 1 1 2\nt 2 1 9\n", 3, "degree 9 outside 0..8"),
+            # A seen spelling still goes through the checks on its vertex.
+            ("p dce 2 0 1 2\nt 1 1 2\nt 1 2 1\n", 3, "duplicate degree list for vertex 1"),
+            ("p dce 2 0 1 2\nt 1 1 2\nt 3 1 2\n", 3, "vertex out of range 1..2"),
+        ],
+    )
+    def test_list_faults_with_seen_spellings_name_their_line(self, text, line, message):
+        for parse in (parse_instance, reference_parse_instance):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.line == line
+            assert str(err.value) == f"line {line}: {message}"
+
     @pytest.mark.parametrize("n", [MAX_VERTICES, MAX_VERTICES + 1, 10**18])
     @pytest.mark.parametrize("fields", ["dce {} 0 0 0", "dsc {} 0 0 regular"])
     def test_vertex_cap(self, n, fields, monkeypatch):
@@ -271,8 +302,13 @@ def _valid_lines(draw):
         r = draw(st.integers(0, 4))
         op = draw(st.sampled_from(["", " e+", " e-", " v-"]))
         header = f"p dce {n} {len(edges)} {k} {r}{op}"
+        # Lists come from a small pool of spellings, one of them also spelled
+        # reversed and with a repeated entry, so a spelling or its set often
+        # recurs and a mutation often hits a recurring one.
+        pool = draw(st.lists(st.lists(st.integers(0, r), max_size=3), min_size=1, max_size=3))
+        pool += [pool[0][::-1], pool[0] + pool[0][:1]]
         for v in draw(st.lists(st.integers(1, n), unique=True, max_size=n)):
-            values = draw(st.lists(st.integers(0, r), max_size=3))
+            values = draw(st.sampled_from(pool))
             body.append(" ".join(["t", str(v), *map(str, values)]))
     else:
         prop = draw(st.sampled_from(["regular", "anon 2", "hindex 1", "balanced 1"]))
