@@ -20,17 +20,15 @@ wait for the end, since only the whole file shows them. Solutions are
 
 `parse_instance` reads an instance in one pass over its lines: a token goes
 through int() at most once, each edge lands in its two endpoints' adjacency
-lists (which share one int object per vertex), and each distinct
-spelling of a degree list is converted and range-checked once, on the
-first line that carries it. Equal lists share one frozenset however they
-are spelled, so an instance holds at most min(n, 2^(r+1)) of them.
-`DegreeListFunction` checks every list again; the check here exists to
-name the line. Sorting
+lists (which share one int object per vertex), and each distinct spelling
+of a degree list is converted and range-checked once, on the first line
+that carries it. Equal lists share one frozenset however they are spelled,
+so an instance holds at most min(n, 2^(r+1)) of them. `DegreeListFunction`
+checks every list again; the check here exists to name the line. Sorting
 the lists exposes repeated edges; only then is the text scanned again, to
-name the line of the first repeat. The sorted lists
-become the Graph through `Graph.from_sorted_adjacency`, without the
-checks `Graph(n, edges)` makes. Every fault raises ParseError on the
-first line that shows it.
+name the line of the first repeat. The sorted lists become the Graph
+through `Graph.from_sorted_adjacency`, without the checks `Graph(n, edges)`
+makes. Every fault raises ParseError on the first line that shows it.
 """
 
 from __future__ import annotations
@@ -122,9 +120,11 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
     adj: list[list[int]] | None = None
     ids: list[int] = []
     tau: list[frozenset[int] | None] = []
-    # A degree list's spelling (its value tokens) maps to its frozenset, and
-    # each value to the one frozenset that every spelling of it shares.
-    spellings: dict[tuple[str, ...], frozenset[int]] = {}
+    # A degree list's spelling (its value tokens, joined by single spaces)
+    # maps to its frozenset, and each value to the one frozenset that every
+    # spelling of it shares. A string per spelling, not a tuple of token
+    # strings, keeps the cache small when most lists are distinct.
+    spellings: dict[str, frozenset[int]] = {}
     shared: dict[frozenset[int], frozenset[int]] = {}
     n = m = k = r = 0
     prop: PiProperty | None = None
@@ -167,17 +167,17 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
                     raise ParseError(f"vertex out of range 1..{n}", line_no)
                 if tau[v] is not None:
                     raise ParseError(f"duplicate degree list for vertex {v + 1}", line_no)
-                spelling = tuple(tokens[2:])
+                spelling = " ".join(tokens[2:])
                 values = spellings.get(spelling)
                 if values is None:
                     try:
-                        values = frozenset(map(int, spelling))
+                        values = frozenset(map(int, tokens[2:]))
                     except ValueError:
-                        for token in spelling:
+                        for token in tokens[2:]:
                             _int(token, line_no)
                         raise
                     if values and (min(values) < 0 or max(values) > r):
-                        d = next(d for d in map(int, spelling) if not 0 <= d <= r)
+                        d = next(d for d in map(int, tokens[2:]) if not 0 <= d <= r)
                         raise ParseError(f"degree {d} outside 0..{r}", line_no)
                     values = spellings[spelling] = shared.setdefault(values, values)
                 tau[v] = values

@@ -58,6 +58,10 @@ class TestParseInstance:
         assert lists[4] is lists[5]
         assert len({id(s) for s in lists}) == len(set(lists)) == 3
 
+    def test_spellings_that_run_together_stay_apart(self):
+        inst = parse_instance("p dce 2 0 1 12\nt 1 1 12\nt 2 11 2\n")
+        assert inst.tau.lists == (frozenset({1, 12}), frozenset({2, 11}))
+
     def test_dsc_header(self):
         inst = parse_instance("p dsc 3 1 2 anon 2\ne 1 2\n")
         assert isinstance(inst, DscInstance)
