@@ -2,10 +2,12 @@
 and the loop that realizes numeric witnesses through them.
 
 An f-factor of G is an edge subset in which every vertex v has degree
-exactly f(v). The gadget replaces each vertex by a bipartite cell with
-deg(v) external stubs and deg(v) - f(v) internal fillers; original edges
-bridge their two stubs, and perfect matchings of the gadget graph are in
-bijection with f-factors.
+exactly f(v). A greedy partial factor, repaired by degree-preserving
+swaps, is often already one; only when it is not is the gadget built.
+The gadget replaces each vertex by a bipartite cell with deg(v) external
+stubs and deg(v) - f(v) internal fillers; original edges bridge their two
+stubs, and perfect matchings of the gadget graph are in bijection with
+f-factors.
 """
 
 from __future__ import annotations
@@ -69,12 +71,77 @@ def f_factor(g: Graph, f: DemandFunction) -> set[Edge] | None:
     return lifted
 
 
+def _partial_factor(g: Graph, h: tuple[int, ...]) -> tuple[list[set[int]], list[int]]:
+    """A partial h-factor of g as each vertex's factor neighbors, with the
+    demand it leaves unmet at each vertex.
+
+    The greedy pass takes each edge while both ends have demand left. The
+    repair pass then meets one more unit at a short vertex u and at a short
+    w, without changing any other degree, by adding the non-factor edges ux
+    and yw and dropping the factor edge xy; w may be u when u lacks two.
+    One search marks each y at most once, so it costs O(|E|), and the pass
+    stops at the first vertex that has no such swap.
+    """
+    adj = g.adj
+    mates: list[set[int]] = [set() for _ in adj]
+    left = list(h)
+    for u, ns in enumerate(adj):
+        for v in ns:
+            if left[u] == 0:
+                break
+            if v > u and left[v] > 0:
+                mates[u].add(v)
+                mates[v].add(u)
+                left[u] -= 1
+                left[v] -= 1
+
+    for u in range(len(adj)):
+        while left[u] > 0:
+            swap = _find_swap(adj, mates, left, u)
+            if swap is None:
+                return mates, left
+            x, y, w = swap
+            mates[x].remove(y)
+            mates[y].remove(x)
+            mates[u].add(x)
+            mates[x].add(u)
+            mates[y].add(w)
+            mates[w].add(y)
+            left[u] -= 1
+            left[w] -= 1
+    return mates, left
+
+
+def _find_swap(
+    adj: Sequence[Sequence[int]], mates: list[set[int]], left: list[int], u: int
+) -> tuple[int, int, int] | None:
+    """A swap (x, y, w) for the short vertex u, or None; see _partial_factor."""
+    seen: set[int] = set()
+    for x in adj[u]:
+        if x in mates[u]:
+            continue
+        for y in mates[x]:
+            if y in seen:
+                continue
+            seen.add(y)
+            for w in adj[y]:
+                # u gains two when w is u itself.
+                if left[w] > (w == u) and w not in mates[y]:
+                    return x, y, w
+    return None
+
+
 def _factor_via_gadget(g: Graph, h: tuple[int, ...]) -> set[Edge] | None:
-    """Find an h-factor of g through a perfect matching of the Tutte gadget.
+    """Find an h-factor of g, through a perfect matching of the Tutte gadget
+    when the repaired partial factor leaves demand unmet.
 
     Vertices with h(v) = 0 get no cell; their incident stubs on the other
     side lose the bridge and are forced onto fillers, excluding the edge.
     """
+    mates, left = _partial_factor(g, h)
+    if not any(left):
+        return {(u, v) for u, vs in enumerate(mates) for v in vs if u < v}
+
     n = g.vertex_count
     adj = g.adj
     # The stub of v towards its i-th neighbor is base[v] + i. Fillers are
@@ -86,14 +153,12 @@ def _factor_via_gadget(g: Graph, h: tuple[int, ...]) -> set[Edge] | None:
             base[v] = size
             size += len(adj[v])
 
-    # The seed is a greedy partial h-factor: take each edge while both
-    # endpoints still have demand left. Its bridge starts the matching,
-    # every other stub of a cell is paired with a free filler of that cell,
-    # and only the demand left unmet starts an augmenting search.
+    # The seed is the partial factor's bridges; every other stub of a cell
+    # is paired with a free filler of that cell, and only the demand left
+    # unmet starts an augmenting search.
     partner = [-1] * size
     bridges: list[tuple[int, int, int]] = []
     seed: list[Edge] = []
-    left = list(h)
     for u in range(n):
         if h[u] == 0:
             continue
@@ -102,9 +167,7 @@ def _factor_via_gadget(g: Graph, h: tuple[int, ...]) -> set[Edge] | None:
                 a, b = base[u] + i, base[v] + bisect_left(adj[v], u)
                 partner[a], partner[b] = b, a
                 bridges.append((u, v, a))
-                if left[u] > 0 and left[v] > 0:
-                    left[u] -= 1
-                    left[v] -= 1
+                if v in mates[u]:
                     seed.append((a, b))
     bridged = {s for pair in seed for s in pair}
 

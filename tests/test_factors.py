@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from degkit import factors
 from degkit.errors import InternalInvariantError, InvalidInputError
-from degkit.factors import f_factor
+from degkit.factors import _partial_factor, f_factor
+from degkit.generators import gen_cubic
 from degkit.graph import Graph
 from degkit.matching import max_matching
 
@@ -140,6 +142,106 @@ class TestFFactor:
             factor = f_factor(g, [1] * n)
             perfect = 2 * len(max_matching(g)) == g.vertex_count
             assert (factor is not None) == perfect
+
+
+class TestPartialFactor:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_invariants(self, data):
+        n = data.draw(st.integers(1, 9))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, [e for e in pairs if data.draw(st.booleans())])
+        h = tuple(data.draw(st.integers(0, g.degree(v))) for v in range(n))
+        mates, left = _partial_factor(g, h)
+        for u, vs in enumerate(mates):
+            for v in vs:
+                assert g.has_edge(u, v) and u in mates[v]
+        for v in range(n):
+            assert left[v] >= 0
+            assert len(mates[v]) + left[v] == h[v]
+        assert _partial_factor(g, h) == (mates, left)
+
+    def test_a_vertex_short_by_two_swaps_with_itself(self):
+        # Greedy takes (0, 1) and leaves vertex 2 short by 2; only the swap
+        # that adds both of 2's edges and drops (0, 1) completes it.
+        g = Graph(3, [(0, 1), (0, 2), (1, 2)])
+        mates, left = _partial_factor(g, (1, 1, 2))
+        assert left == [0, 0, 0]
+        assert mates == [{2}, {2}, {0, 1}]
+        assert f_factor(g, [1, 1, 2]) == {(0, 2), (1, 2)}
+
+    def test_both_branches_match_bruteforce(self, monkeypatch):
+        # Random demands on random graphs mostly end without a gadget or have
+        # no factor. A relabeled path with a few chords and f = 1 often stalls
+        # the repair yet has a factor, which the gadget must then find.
+        gadgets = []
+
+        def matching(g, initial=()):
+            gadgets.append(g)
+            return real(g, initial=initial)
+
+        real = factors.max_matching
+        monkeypatch.setattr(factors, "max_matching", matching)
+        rng = random.Random(2323)
+        seen = Counter()
+        for i in range(1200):
+            n = rng.randrange(2, 11)
+            if i % 2:
+                g = random_graph(n, rng.choice([0.3, 0.5, 0.8]), rng)
+                if g.edge_count > 18:
+                    continue
+                f = [rng.randrange(0, g.degree(v) + 1) for v in range(n)]
+                # An odd total returns before any search.
+                f[f.index(max(f))] -= sum(f) % 2
+            else:
+                label = rng.sample(range(n), n)
+                ends = [label[i : i + 2] for i in range(n - 1)]
+                ends += [rng.sample(range(n), 2) for _ in range(rng.randrange(3))]
+                g = Graph(n, {(min(e), max(e)) for e in ends})
+                f = [1] * n
+            built = len(gadgets)
+            found = f_factor(g, f)
+            assert (found is not None) == brute_f_factor_exists(g, f)
+            if found is not None:
+                assert is_valid_factor(g, f, found)
+            if len(gadgets) > built:
+                seen["gadget, factor" if found is not None else "gadget, none"] += 1
+            elif found:
+                seen["no gadget"] += 1
+        assert min(seen["no gadget"], seen["gadget, factor"], seen["gadget, none"]) >= 30, seen
+
+    def test_stalled_seed_on_a_long_cycle_is_fast(self):
+        # A relabeled C_3000 with f = 1: greedy leaves short vertices that
+        # no single swap joins, so the repair stops and the gadget finishes.
+        n = 3000
+        rng = random.Random(3000)
+        label = list(range(n))
+        rng.shuffle(label)
+        g = Graph(n, [(label[i], label[(i + 1) % n]) for i in range(n)])
+        start = time.perf_counter()
+        found = f_factor(g, [1] * n)
+        elapsed = time.perf_counter() - start
+        assert found is not None and is_valid_factor(g, [1] * n, found)
+        assert elapsed < 5.0
+
+    def test_perfect_matching_of_a_random_cubic_graph_is_fast(self):
+        g = gen_cubic(2000, 2000)
+        start = time.perf_counter()
+        found = f_factor(g, [1] * 2000)
+        elapsed = time.perf_counter() - start
+        assert found is not None and is_valid_factor(g, [1] * 2000, found)
+        assert elapsed < 5.0
+
+    def test_two_odd_cliques_without_a_factor_are_fast(self):
+        # Two disjoint K_51 with f = 1: the total is even, but each clique's
+        # is odd, so there is no factor and every swap search comes up empty.
+        k = complete(51)
+        g = Graph(102, [*k.edges(), *((u + 51, v + 51) for u, v in k.edges())])
+        start = time.perf_counter()
+        found = f_factor(g, [1] * 102)
+        elapsed = time.perf_counter() - start
+        assert found is None
+        assert elapsed < 5.0
 
 
 class TestKtCondition:

@@ -203,7 +203,14 @@ class TestTrustedConstruction:
         real = factors.max_matching
         monkeypatch.setattr(factors, "max_matching", matching)
         for g, rng in self.graphs(5, count=100):
-            f = [rng.randrange(0, g.degree(v) + 1) for v in range(g.vertex_count)]
+            n = g.vertex_count
+            f = [rng.randrange(0, g.degree(v) + 1) for v in range(n)]
+            if sum(f) % 2 == 1:
+                # A triangle with demand 1 at each corner evens the total but
+                # has no factor, so the partial factor cannot meet every
+                # demand and the gadget is built.
+                g = Graph(n + 3, [*g.edges(), (n, n + 1), (n, n + 2), (n + 1, n + 2)])
+                f += [1, 1, 1]
             factors.f_factor(g, f)
         assert len(gadgets) >= 10
         for gadget in gadgets:

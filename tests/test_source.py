@@ -93,6 +93,14 @@ def test_one_function_orders_search_and_realization():
     assert callers("realize_least") == {"dce.py:realize_e_plus", "dsc.py:dsc_solve"}
 
 
+def test_one_function_seeds_factors():
+    # The repaired partial factor and the gadget that finishes it meet in one
+    # function, so no second realization path can skip the seed or the
+    # exact matching behind it.
+    assert callers("_partial_factor") == {"factors.py:_factor_via_gadget"}
+    assert callers("max_matching") == {"factors.py:_factor_via_gadget"}
+
+
 @pytest.mark.parametrize("writer", ["write_text", "sys.stdout.write", "print"])
 def test_only_main_writes_command_output(writer):
     # Every subcommand returns its text and main writes it once, to -o or to
