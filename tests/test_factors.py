@@ -195,7 +195,7 @@ class TestPartialFactor:
                 f[f.index(max(f))] -= sum(f) % 2
             else:
                 label = rng.sample(range(n), n)
-                ends = [label[i : i + 2] for i in range(n - 1)]
+                ends = [label[j : j + 2] for j in range(n - 1)]
                 ends += [rng.sample(range(n), 2) for _ in range(rng.randrange(3))]
                 g = Graph(n, {(min(e), max(e)) for e in ends})
                 f = [1] * n
