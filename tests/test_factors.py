@@ -97,10 +97,11 @@ class TestFFactor:
         if found is not None:
             assert is_valid_factor(g, f, found)
 
-    def test_half_degree_factor_of_dense_graph_is_fast(self):
+    def test_half_degree_factor_of_dense_graph_is_fast(self, greedy_seed):
         # G(70, 1/2) with f = deg/2: the gadget has about 3.6k vertices and
         # needs blossom contractions; a search that resets or relabels all
-        # of them every time takes well over 5 s.
+        # of them every time takes well over 5 s. The repaired seed meets
+        # every demand here, so the greedy seed alone leads to the gadget.
         g = random_graph(70, 0.5, random.Random(70))
         f = [d // 2 for d in g.degrees()]
         if sum(f) % 2 == 1:
@@ -109,13 +110,15 @@ class TestFFactor:
         found = f_factor(g, f)
         elapsed = time.perf_counter() - start
         assert found is not None and is_valid_factor(g, f, found)
+        assert len(greedy_seed) == 1
         assert elapsed < 5.0
 
-    def test_fifth_degree_factor_of_a_few_hundred_vertices_is_fast(self):
-        # G(300, 1/2) with f = round(deg/5): the gadget has about 54k
-        # vertices. One single-root augmenting search per exposed vertex took
-        # 18 s on this instance (2-core VM, CPython 3.11); phases of one
-        # forest from all of them take about half a second.
+    def test_fifth_degree_factor_of_a_few_hundred_vertices_is_fast(self, greedy_seed):
+        # G(300, 1/2) with f = round(deg/5), from the greedy seed alone: the
+        # gadget has about 54k vertices. One single-root augmenting search
+        # per exposed vertex took 18 s on this instance (2-core VM, CPython
+        # 3.11); phases of one forest from all of them take about half a
+        # second.
         g = random_graph(300, 0.5, random.Random(300))
         f = [round(d / 5) for d in g.degrees()]
         if sum(f) % 2 == 1:
@@ -124,6 +127,7 @@ class TestFFactor:
         found = f_factor(g, f)
         elapsed = time.perf_counter() - start
         assert found is not None and is_valid_factor(g, f, found)
+        assert len(greedy_seed) == 1
         assert elapsed < 5.0
 
     @pytest.mark.parametrize("wrong", [{(0, 2)}, {(0, 1)}])
@@ -170,18 +174,10 @@ class TestPartialFactor:
         assert mates == [{2}, {2}, {0, 1}]
         assert f_factor(g, [1, 1, 2]) == {(0, 2), (1, 2)}
 
-    def test_both_branches_match_bruteforce(self, monkeypatch):
+    def test_both_branches_match_bruteforce(self, gadgets):
         # Random demands on random graphs mostly end without a gadget or have
         # no factor. A relabeled path with a few chords and f = 1 often stalls
         # the repair yet has a factor, which the gadget must then find.
-        gadgets = []
-
-        def matching(g, initial=()):
-            gadgets.append(g)
-            return real(g, initial=initial)
-
-        real = factors.max_matching
-        monkeypatch.setattr(factors, "max_matching", matching)
         rng = random.Random(2323)
         seen = Counter()
         for i in range(1200):
@@ -209,6 +205,22 @@ class TestPartialFactor:
             elif found:
                 seen["no gadget"] += 1
         assert min(seen["no gadget"], seen["gadget, factor"], seen["gadget, none"]) >= 30, seen
+
+    def test_repaired_seed_of_a_few_hundred_vertices_is_fast(self, gadgets):
+        # The instance of the fifth-degree test above, with the repair pass.
+        # f_factor searches for the complement, deg - f; greedy leaves 4.9k
+        # of its 36k demand units unmet, and each swap search is O(|E|) on
+        # 22.5k edges. The swaps meet them all without a gadget.
+        g = random_graph(300, 0.5, random.Random(300))
+        f = [round(d / 5) for d in g.degrees()]
+        if sum(f) % 2 == 1:
+            f[0] += 1
+        start = time.perf_counter()
+        found = f_factor(g, f)
+        elapsed = time.perf_counter() - start
+        assert found is not None and is_valid_factor(g, f, found)
+        assert gadgets == []
+        assert elapsed < 5.0
 
     def test_stalled_seed_on_a_long_cycle_is_fast(self):
         # A relabeled C_3000 with f = 1: greedy leaves short vertices that

@@ -162,8 +162,10 @@ def test_blossom_of_a_tree_that_did_not_augment():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_planted_f_factor_of_mid_size_dense_graph(seed):
-    # Demands are the degrees of a random subgraph, so a factor exists.
+def test_planted_f_factor_of_mid_size_dense_graph(seed, greedy_seed):
+    # Demands are the degrees of a random subgraph, so a factor exists. The
+    # repaired seed meets them all, so the greedy seed alone leads to the
+    # gadget and the matcher.
     rng = random.Random(seed)
     n = rng.randrange(40, 121)
     g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
@@ -175,6 +177,7 @@ def test_planted_f_factor_of_mid_size_dense_graph(seed):
             f[v] += 1
     found = f_factor(g, f)
     assert found is not None and is_valid_factor(g, f, found)
+    assert len(greedy_seed) == 1
 
 
 def test_initial_non_edge_rejected():
