@@ -37,27 +37,19 @@ def f_factor(g: Graph, f: DemandFunction) -> set[Edge] | None:
     if sum(f) % 2 == 1:
         return None
 
-    # Zero-demand vertices never contribute factor edges; drop them so their
-    # gadget cells are not built at all.
+    # Zero-demand vertices never contribute factor edges; dropping them
+    # leaves the gadget only positive demands.
     support = [v for v in range(n) if f[v] > 0]
     if not support:
         return set()
     sub, old_of_new = induced_subgraph(g, support)
     fs = tuple(f[v] for v in old_of_new)
-    degs = sub.degrees()
-    if any(map(gt, fs, degs)):
+    if any(map(gt, fs, sub.degrees())):
         return None
 
-    # A demand fs and its within-edge-set complement deg - fs describe the
-    # same search (take E(sub) minus the factor); pick whichever side builds
-    # the smaller gadget.
-    flip = 2 * sum(fs) < sum(degs)
-    demand = tuple(d - x for d, x in zip(degs, fs)) if flip else fs
-
-    found = _factor_via_gadget(sub, demand)
-    if found is None:
+    factor = _factor_via_gadget(sub, fs)
+    if factor is None:
         return None
-    factor = set(sub.edges()) - found if flip else found
     # old_of_new increases, so renamed edges keep u < v.
     lifted = {(old_of_new[u], old_of_new[v]) for u, v in factor}
     degree = [0] * n
@@ -135,8 +127,8 @@ def _factor_via_gadget(g: Graph, h: tuple[int, ...]) -> set[Edge] | None:
     """Find an h-factor of g, through a perfect matching of the Tutte gadget
     when the repaired partial factor leaves demand unmet.
 
-    Vertices with h(v) = 0 get no cell; their incident stubs on the other
-    side lose the bridge and are forced onto fillers, excluding the edge.
+    Every demand h(v) is positive, so every vertex gets a cell and every
+    stub a bridge partner.
     """
     mates, left = _partial_factor(g, h)
     if not any(left):
@@ -149,9 +141,8 @@ def _factor_via_gadget(g: Graph, h: tuple[int, ...]) -> set[Edge] | None:
     base = [0] * n
     size = 0
     for v in range(n):
-        if h[v] > 0:
-            base[v] = size
-            size += len(adj[v])
+        base[v] = size
+        size += len(adj[v])
 
     # The seed is the partial factor's bridges; every other stub of a cell
     # is paired with a free filler of that cell, and only the demand left
@@ -160,10 +151,8 @@ def _factor_via_gadget(g: Graph, h: tuple[int, ...]) -> set[Edge] | None:
     bridges: list[tuple[int, int, int]] = []
     seed: list[Edge] = []
     for u in range(n):
-        if h[u] == 0:
-            continue
         for i, v in enumerate(adj[u]):
-            if v > u and h[v] > 0:
+            if v > u:
                 a, b = base[u] + i, base[v] + bisect_left(adj[v], u)
                 partner[a], partner[b] = b, a
                 bridges.append((u, v, a))
@@ -171,18 +160,16 @@ def _factor_via_gadget(g: Graph, h: tuple[int, ...]) -> set[Edge] | None:
                     seed.append((a, b))
     bridged = {s for pair in seed for s in pair}
 
-    # A stub's neighbors are its bridge partner, if any, and then its cell's
-    # fillers; a filler's are its cell's stubs. Partners are stubs and so
-    # precede every filler, which keeps each list increasing.
+    # A stub's neighbors are its bridge partner and then its cell's fillers;
+    # a filler's are its cell's stubs. Partners are stubs and so precede
+    # every filler, which keeps each list increasing.
     gadget: list[tuple[int, ...]] = []
     filler_adj: list[tuple[int, ...]] = []
     for v in range(n):
-        if h[v] == 0:
-            continue
         cell = range(base[v], base[v] + len(adj[v]))
         first = size + len(filler_adj)
         fillers = tuple(range(first, first + len(adj[v]) - h[v]))
-        gadget.extend((partner[s], *fillers) if partner[s] >= 0 else fillers for s in cell)
+        gadget.extend((partner[s], *fillers) for s in cell)
         filler_adj.extend([tuple(cell)] * len(fillers))
         seed.extend(zip((s for s in cell if s not in bridged), fillers))
     gadget += filler_adj

@@ -114,15 +114,16 @@ class TestFFactor:
         assert elapsed < 5.0
 
     def test_fifth_degree_factor_of_a_few_hundred_vertices_is_fast(self, greedy_seed):
-        # G(300, 1/2) with f = round(deg/5), from the greedy seed alone: the
-        # gadget has about 54k vertices. One single-root augmenting search
-        # per exposed vertex took 18 s on this instance (2-core VM, CPython
-        # 3.11); phases of one forest from all of them take about half a
-        # second.
+        # G(300, 1/2) with f = deg - round(deg/5), the complement of a fifth
+        # of each degree, from the greedy seed alone: greedy leaves 4.9k
+        # demand units unmet and the gadget has about 54k vertices. One
+        # single-root augmenting search per exposed vertex took 18 s on this
+        # instance (2-core VM, CPython 3.11); phases of one forest from all
+        # of them take about half a second.
         g = random_graph(300, 0.5, random.Random(300))
-        f = [round(d / 5) for d in g.degrees()]
+        f = [d - round(d / 5) for d in g.degrees()]
         if sum(f) % 2 == 1:
-            f[0] += 1
+            f[0] -= 1
         start = time.perf_counter()
         found = f_factor(g, f)
         elapsed = time.perf_counter() - start
@@ -208,13 +209,13 @@ class TestPartialFactor:
 
     def test_repaired_seed_of_a_few_hundred_vertices_is_fast(self, gadgets):
         # The instance of the fifth-degree test above, with the repair pass.
-        # f_factor searches for the complement, deg - f; greedy leaves 4.9k
-        # of its 36k demand units unmet, and each swap search is O(|E|) on
-        # 22.5k edges. The swaps meet them all without a gadget.
+        # Greedy leaves 4.9k of its 36k demand units unmet, and each swap
+        # search is O(|E|) on 22.5k edges. The swaps meet them all without a
+        # gadget.
         g = random_graph(300, 0.5, random.Random(300))
-        f = [round(d / 5) for d in g.degrees()]
+        f = [d - round(d / 5) for d in g.degrees()]
         if sum(f) % 2 == 1:
-            f[0] += 1
+            f[0] -= 1
         start = time.perf_counter()
         found = f_factor(g, f)
         elapsed = time.perf_counter() - start

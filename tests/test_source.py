@@ -99,6 +99,10 @@ def test_one_function_seeds_factors():
     # exact matching behind it.
     assert callers("_partial_factor") == {"factors.py:_factor_via_gadget"}
     assert callers("max_matching") == {"factors.py:_factor_via_gadget"}
+    # The gadget builds a cell for every vertex and a bridge for every stub,
+    # so it needs every demand positive; f_factor's support filter, which
+    # drops the zero-demand vertices, is what makes them so.
+    assert callers("_factor_via_gadget") == {"factors.py:f_factor"}
 
 
 @pytest.mark.parametrize("writer", ["write_text", "sys.stdout.write", "print"])
