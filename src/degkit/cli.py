@@ -27,7 +27,7 @@ from .errors import DegkitError, InvalidInputError, ParseError, ResourceLimitErr
 from .factors import f_factor
 from .formats import parse_instance, serialize_instance, serialize_solution
 from .generators import REDUCTION_KINDS, gen_cubic, gen_from_reduction, gen_random_dce
-from .nce import make_nce, nce_traceback
+from .nce import NceInstance, nce_traceback
 from .winwin import TrivialYes, kernelize_r
 
 KERNELS = {"kr": kernelize_kr, "r": kernelize_r}
@@ -101,8 +101,7 @@ def _cmd_nce(args) -> str:
     if not isinstance(inst, DceInstance):
         raise InvalidInputError("the numeric problem derives from dce instances")
     target = _nonnegative("--target", inst.k if args.target is None else args.target)
-    numeric = make_nce(inst.graph.degrees(), target, inst.r, inst.tau.lists)
-    witness = nce_traceback(numeric)
+    witness = nce_traceback(NceInstance(inst.graph.degrees(), target, inst.tau))
     return "NO\n" if witness is None else "YES " + " ".join(map(str, witness)) + "\n"
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import compress, islice, repeat
 from operator import contains, lt
@@ -18,7 +18,7 @@ from typing import Any
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
 from .factors import realize_least, solution_threshold
 from .graph import Edge, Graph, induced_subgraph, normalize_edge
-from .nce import least_even_total
+from .nce import DegreeListFunction, least_even_total
 
 DEFAULT_NODE_LIMIT = 4_000_000
 
@@ -27,38 +27,6 @@ class EditKind(enum.Enum):
     EDGE_ADDITION = "e+"
     EDGE_DELETION = "e-"
     VERTEX_DELETION = "v-"
-
-
-@dataclass(frozen=True)
-class DegreeListFunction:
-    """Per-vertex sets of admissible target degrees, all within {0..r}.
-
-    spread, derived in the range check's loop, is the widest list's
-    max - min (0 when no list has two entries); it bounds every rise a
-    vertex whose degree is on its list can have.
-    """
-
-    r: int
-    lists: tuple[frozenset[int], ...]
-    spread: int = field(init=False, compare=False)
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise InvalidInputError("degree bound r must be nonnegative")
-        spread = 0
-        for i, s in enumerate(self.lists):
-            if s:
-                lo, hi = min(s), max(s)
-                if lo < 0 or hi > self.r:
-                    raise InvalidInputError(
-                        f"degree list of vertex {i} leaves the range 0..{self.r}"
-                    )
-                if hi - lo > spread:
-                    spread = hi - lo
-        object.__setattr__(self, "spread", spread)
-
-    def __getitem__(self, v: int) -> frozenset[int]:
-        return self.lists[v]
 
 
 @dataclass(frozen=True)
@@ -86,7 +54,10 @@ def make_dce(
     lists: Sequence[Iterable[int]],
     op_kind: EditKind = EditKind.EDGE_ADDITION,
 ) -> DceInstance:
-    tau = DegreeListFunction(r, tuple(map(frozenset, lists)))
+    """The instance with these degree lists. Equal lists, however given,
+    share one frozenset, so an instance holds at most min(n, 2^(r+1))."""
+    shared: dict[frozenset[int], frozenset[int]] = {}
+    tau = DegreeListFunction(r, tuple(shared.setdefault(s, s) for s in map(frozenset, lists)))
     return DceInstance(graph, k, tau, op_kind)
 
 
@@ -207,17 +178,15 @@ def _unsatisfied(degs: Sequence[int], lists: Sequence[frozenset[int]]) -> Iterat
 def _keep_only(inst: DceInstance, keep: Iterable[int]) -> DceInstance:
     """The instance induced on the vertices keep, renumbered in increasing
     order; each kept list shifts down by the neighbors its vertex lost,
-    deg_G(old) - deg_kept(new). Equal shifted lists share one frozenset."""
+    deg_G(old) - deg_kept(new), and make_dce shares the equal ones."""
     g, lists = inst.graph, inst.tau.lists
     sub, old_of_new = induced_subgraph(g, keep)
     degs = g.degrees()
-    shared: dict[frozenset[int], frozenset[int]] = {}
     kept = []
     for old, deg in zip(old_of_new, sub.degrees()):
         shift = degs[old] - deg
-        values = frozenset(t - shift for t in lists[old] if t >= shift)
-        kept.append(shared.setdefault(values, values))
-    return DceInstance(sub, inst.k, DegreeListFunction(inst.r, tuple(kept)), inst.op_kind)
+        kept.append(frozenset(t - shift for t in lists[old] if t >= shift))
+    return make_dce(sub, inst.k, inst.r, kept, inst.op_kind)
 
 
 def safely_remove(inst: DceInstance, vertices: Iterable[int]) -> DceInstance:

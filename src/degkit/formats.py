@@ -22,9 +22,9 @@ wait for the end, since only the whole file shows them. Solutions are
 through int() at most once, each edge lands in its two endpoints' adjacency
 lists (which share one int object per vertex), and each distinct spelling
 of a degree list is converted and range-checked once, on the first line
-that carries it. Equal lists share one frozenset however they are spelled,
-so an instance holds at most min(n, 2^(r+1)) of them. `DegreeListFunction`
-checks every list again; the check here exists to name the line. Sorting
+that carries it. `make_dce` then shares one frozenset among equal lists
+however they are spelled, and `DegreeListFunction` checks each distinct
+list again; the check here exists to name the line. Sorting
 the lists exposes repeated edges; only then is the text scanned again, to
 name the line of the first repeat. The sorted lists become the Graph
 through `Graph.from_sorted_adjacency`, without the checks `Graph(n, edges)`
@@ -121,11 +121,9 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
     ids: list[int] = []
     tau: list[frozenset[int] | None] = []
     # A degree list's spelling (its value tokens, joined by single spaces)
-    # maps to its frozenset, and each value to the one frozenset that every
-    # spelling of it shares. A string per spelling, not a tuple of token
+    # maps to its frozenset. A string per spelling, not a tuple of token
     # strings, keeps the cache small when most lists are distinct.
     spellings: dict[str, frozenset[int]] = {}
-    shared: dict[frozenset[int], frozenset[int]] = {}
     n = m = k = r = 0
     prop: PiProperty | None = None
     cap: int | None = None
@@ -179,7 +177,7 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
                     if values and (min(values) < 0 or max(values) > r):
                         d = next(d for d in map(int, tokens[2:]) if not 0 <= d <= r)
                         raise ParseError(f"degree {d} outside 0..{r}", line_no)
-                    values = spellings[spelling] = shared.setdefault(values, values)
+                    spellings[spelling] = values
                 tau[v] = values
             elif kind == "c":
                 continue
@@ -249,8 +247,7 @@ def parse_instance(text: str) -> DceInstance | DscInstance:
         )
     graph = Graph.from_sorted_adjacency(adj)
     if problem == "dce":
-        empty: frozenset[int] = frozenset()
-        missing = shared.setdefault(empty, empty)
+        missing: frozenset[int] = frozenset()  # shared by every vertex without a t line
         return make_dce(graph, k, r, [missing if s is None else s for s in tau], op)
     if cap is not None and cap < graph.max_degree():
         raise ParseError(
@@ -264,7 +261,7 @@ def _property_spec(prop: PiProperty) -> str:
     if name == "regular":
         return "regular"
     if name not in _parameterized():
-        raise ParseError(f"property {prop.name!r} has no file syntax")
+        raise InvalidInputError(f"property {prop.name!r} has no file syntax")
     return f"{name} {param}"
 
 

@@ -7,13 +7,15 @@ one bitset row per prefix: bit j of a row says the prefix can rise by
 exactly j in total. One table answers every target up to its width, and a
 witness for any of them is traced back from the same rows. The rises an
 index allows are worked out once per (degree, list) type, since a large
-instance has few types; the table keeps one row per index.
+instance has few types; the table keeps one row per index. The lists are
+a DegreeListFunction, the one degree-list type, which a completion
+instance hands to the number problem as it is.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 from operator import contains, lt, sub
 
@@ -21,26 +23,54 @@ from .errors import InternalInvariantError, InvalidInputError
 
 
 @dataclass(frozen=True)
+class DegreeListFunction:
+    """Per-vertex sets of admissible target degrees, all within {0..r}.
+
+    spread, derived in the range check's loop, is the widest list's
+    max - min (0 when no list has two entries); it bounds every rise a
+    vertex whose degree is on its list can have. Equal lists are checked once.
+    """
+
+    r: int
+    lists: tuple[frozenset[int], ...]
+    spread: int = field(init=False, compare=False)
+
+    def __post_init__(self):
+        if self.r < 0:
+            raise InvalidInputError("degree bound r must be nonnegative")
+        spread = 0
+        for s in set(self.lists):
+            if s:
+                lo, hi = min(s), max(s)
+                if lo < 0 or hi > self.r:
+                    raise InvalidInputError(
+                        f"degree list of vertex {self.lists.index(s)} leaves the range 0..{self.r}"
+                    )
+                if hi - lo > spread:
+                    spread = hi - lo
+        object.__setattr__(self, "spread", spread)
+
+    def __getitem__(self, v: int) -> frozenset[int]:
+        return self.lists[v]
+
+
+@dataclass(frozen=True)
 class NceInstance:
     degrees: tuple[int, ...]
     k: int
-    r: int
-    phi: tuple[frozenset[int], ...]
+    tau: DegreeListFunction
 
     def __post_init__(self):
-        if self.k < 0 or self.r < 0:
-            raise InvalidInputError("k and r must be nonnegative")
-        if len(self.phi) != len(self.degrees):
-            raise InvalidInputError("phi must assign a set to every index")
+        if self.k < 0:
+            raise InvalidInputError("k must be nonnegative")
+        if len(self.tau.lists) != len(self.degrees):
+            raise InvalidInputError("tau must assign a set to every index")
         if any(d < 0 for d in self.degrees):
             raise InvalidInputError("degrees must be nonnegative")
-        for s in self.phi:
-            if any(x < 0 or x > self.r for x in s):
-                raise InvalidInputError(f"allowed degree outside 0..{self.r}")
 
 
 def make_nce(degrees: Sequence[int], k: int, r: int, phi: Sequence[Iterable[int]]) -> NceInstance:
-    return NceInstance(tuple(degrees), k, r, tuple(frozenset(s) for s in phi))
+    return NceInstance(tuple(degrees), k, DegreeListFunction(r, tuple(map(frozenset, phi))))
 
 
 def _rises(degrees: Sequence[int], phi: Sequence[frozenset[int]]) -> list[tuple[int, ...]]:
@@ -116,7 +146,7 @@ def nce_decide_all_targets(
     inst = make_nce(degrees, 0, r, phi)
     if k_max < 0:
         raise InvalidInputError("k_max must be nonnegative")
-    last = _rows(_rises(inst.degrees, inst.phi), k_max)[-1]
+    last = _rows(_rises(inst.degrees, inst.tau.lists), k_max)[-1]
     return [bool(last >> j & 1) for j in range(k_max + 1)]
 
 
@@ -128,10 +158,11 @@ def nce_traceback(inst: NceInstance) -> tuple[int, ...] | None:
     makes witnesses deterministic. A target above every reachable total
     is a NO without a table.
     """
-    rises = _rises(inst.degrees, inst.phi)
+    lists = inst.tau.lists
+    rises = _rises(inst.degrees, lists)
     if inst.k > _max_rise(rises):
         return None
-    return _trace(inst.degrees, inst.phi, rises, inst.k, _rows(rises, inst.k))
+    return _trace(inst.degrees, lists, rises, inst.k, _rows(rises, inst.k))
 
 
 def _validate_witness(

@@ -14,7 +14,7 @@ import degkit
 from degkit.cli import build_parser, main
 from degkit.errors import InvalidInputError
 from degkit.formats import parse_instance, parse_solution
-from degkit.generators import gen_cubic, gen_random_dce
+from degkit.generators import gen_cubic, gen_from_reduction, gen_random_dce
 
 TRIPLE = "p dce 3 0 3 2\nt 1 2\nt 2 0 2\nt 3 0 2\n"
 STAR = "p dsc 4 3 2 anon 2\ne 1 2\ne 1 3\ne 1 4\n"
@@ -76,6 +76,22 @@ class TestGenerators:
 
     def test_cubic_deterministic(self):
         assert gen_cubic(8, 5) == gen_cubic(8, 5)
+
+    @pytest.mark.parametrize(
+        "build, reason",
+        [
+            (lambda: gen_random_dce(-1, 0.2, 1, 1, 0.5, 0), "n, k, r must be nonnegative"),
+            (lambda: gen_random_dce(3, 0.2, -1, 1, 0.5, 0), "n, k, r must be nonnegative"),
+            (lambda: gen_random_dce(3, 0.2, 1, -1, 0.5, 0), "n, k, r must be nonnegative"),
+            (lambda: gen_random_dce(3, 1.5, 1, 1, 0.5, 0), r"lie in \[0, 1\]"),
+            (lambda: gen_random_dce(3, 0.2, 1, 1, -0.1, 0), r"lie in \[0, 1\]"),
+            (lambda: gen_from_reduction("tsp", gen_cubic(4, 0), 1), "unknown reduction kind 'tsp'"),
+        ],
+        ids=["negative-n", "negative-k", "negative-r", "edge-prob", "density", "unknown-kind"],
+    )
+    def test_rejects_invalid_input(self, build, reason):
+        with pytest.raises(InvalidInputError, match=reason):
+            build()
 
 
 class TestSolveCommand:
@@ -243,6 +259,11 @@ class TestOtherCommands:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
         parse_instance(first)
+
+    def test_gen_edge_prob_one_is_complete(self, capsys):
+        assert main(["gen", "dce", "--n", "6", "--edge-prob", "1"]) == 0
+        g = parse_instance(capsys.readouterr().out).graph
+        assert g.edge_count == 15 and set(g.degrees()) == {5}
 
     def test_gen_cubic_odd_fails(self, capsys):
         assert main(["gen", "cubic", "--n", "5"]) == 1

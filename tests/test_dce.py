@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from degkit import dce, factors
 from degkit.dce import (
+    DceInstance,
     DegreeListFunction,
     EditKind,
     EditSolution,
@@ -244,16 +245,22 @@ class TestKernelizeKr:
 
     def test_equal_shifted_lists_share_one_frozenset(self):
         # Leaves 1..5 of a star lose the center, whose one-entry list gives
-        # it no type: four {1, 2} lists, each its own frozenset, shift to one
-        # shared {0, 1}, and {1, 3} to {0, 2}.
-        inst = make_dce(Graph(6, [(0, v) for v in range(1, 6)]), 1, 5,
-                        [{5}, {1, 2}, {1, 2}, {1, 2}, {1, 2}, {1, 3}])
+        # it no type: four {1, 2} lists, each its own frozenset since the
+        # instance is built past make_dce, shift to one shared {0, 1}, and
+        # {1, 3} to {0, 2}.
+        lists = [{5}, {1, 2}, {1, 2}, {1, 2}, {1, 2}, {1, 3}]
+        tau = DegreeListFunction(5, tuple(map(frozenset, lists)))
+        inst = DceInstance(Graph(6, [(0, v) for v in range(1, 6)]), 1, tau, EditKind.EDGE_ADDITION)
         assert len({id(s) for s in inst.tau.lists}) == 6
         result = kernelize_kr(inst)
         assert isinstance(result, Kernel) and result.old_of_new == (1, 2, 3, 4, 5)
         lists = result.instance.tau.lists
         assert lists == (frozenset({0, 1}),) * 4 + (frozenset({0, 2}),)
         assert len({id(s) for s in lists}) == len(set(lists)) == 2
+
+    def test_make_dce_shares_equal_lists_however_given(self):
+        inst = make_dce(Graph(3), 0, 2, [{1, 2}, [2, 1], frozenset({1, 2})])
+        assert len({id(s) for s in inst.tau.lists}) == 1
 
     def test_rule2_failure_propagates(self):
         inst = make_dce(k3(), 1, 2, [{0}, {0}, {0}])
@@ -730,6 +737,20 @@ class TestEditedDegrees:
     def test_rejects(self, edits, word, reason):
         with pytest.raises(InvalidInputError, match=reason):
             edited_degrees(Graph(3, [(0, 1), (1, 2)]), edits, word)
+
+
+@pytest.mark.parametrize(
+    "build, reason",
+    [
+        (lambda: make_dce(Graph(2), -1, 1, [{0}, {0}]), "budget k must be nonnegative"),
+        (lambda: make_dce(Graph(2), 1, 1, [{0}]), "exactly the vertices"),
+        (lambda: safely_remove(triple_instance(), {1, 3}), "vertex 3 out of range"),
+    ],
+    ids=["negative-budget", "short-tau", "remove-out-of-range"],
+)
+def test_rejects_invalid_input(build, reason):
+    with pytest.raises(InvalidInputError, match=reason):
+        build()
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from degkit import dsc, factors
 from degkit.dce import EditSolution, additions
 from degkit.dsc import (
     DscInstance,
+    PiProperty,
     anonymity_property,
     anonymize,
     balanced_property,
@@ -54,6 +55,10 @@ class TestBlocks:
 
     def test_block_set_zero_budget(self):
         assert block_set(path3(), 0) == set()
+
+    def test_block_set_rejects_a_negative_budget(self):
+        with pytest.raises(InvalidInputError, match="k must be nonnegative"):
+            block_set(path3(), -1)
 
 
 class TestFptSolve:
@@ -277,6 +282,27 @@ class TestDscSolve:
     def test_cap_below_the_maximum_degree(self):
         with pytest.raises(InvalidInputError, match="below the current maximum degree"):
             DscInstance(star3(), 2, regular_property(), 2)
+
+    def test_negative_budget(self):
+        with pytest.raises(InvalidInputError, match="budget k must be nonnegative"):
+            DscInstance(star3(), -1, regular_property())
+
+    @pytest.mark.parametrize(
+        "answer, reason",
+        [
+            ((2, [1, 1]), "malformed increment vector"),
+            ((2, [1, 0, 0]), "increments sum to 1, not 2"),
+            ((2, [2, 0, 0]), "a completed degree exceeds 1"),
+            ((2, [1, 1, 0]), "completed tuple does not fulfill"),
+        ],
+        ids=["length", "sum", "above-cap", "unfulfilled"],
+    )
+    def test_lying_numeric_solver_is_a_defect(self, answer, reason):
+        # Three isolated vertices under the cap 1; every answer claims the
+        # total 2, which the budget 2 allows.
+        prop = PiProperty("liar", regular_property().fulfills, lambda *args: answer)
+        with pytest.raises(InternalInvariantError, match=reason):
+            dsc_solve(DscInstance(Graph(3), 2, prop, 1))
 
     def test_large_budget_star_is_fast(self):
         # Already the least common degree 199 needs a rise above 2k, so the

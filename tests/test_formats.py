@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from degkit import formats
 from degkit.dce import DceInstance, EditKind, EditSolution, make_dce
-from degkit.dsc import DscInstance, anonymity_property, regular_property
-from degkit.errors import ParseError
+from degkit.dsc import DscInstance, PiProperty, anonymity_property, regular_property
+from degkit.errors import InvalidInputError, ParseError
 from degkit.formats import (
     MAX_VERTICES,
     parse_instance,
@@ -475,6 +475,13 @@ class TestRoundTrip:
         # Only a cap other than the default max degree + k gets a line.
         assert ("\nd " in text) == (cap not in (None, 3))
         assert parse_instance(text) == inst
+
+    def test_property_without_file_syntax_is_invalid_input(self):
+        # Nothing was parsed, so the fault is the caller's, not the text's.
+        prop = PiProperty("custom-3", lambda t: True, lambda *args: None)
+        with pytest.raises(InvalidInputError, match="'custom-3' has no file syntax") as err:
+            serialize_instance(DscInstance(Graph(2), 1, prop))
+        assert not isinstance(err.value, ParseError)
 
 
 class TestDegreeCapLine:

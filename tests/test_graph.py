@@ -27,6 +27,10 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
 
 
 class TestConstruction:
+    def test_rejects_a_negative_vertex_count(self):
+        with pytest.raises(InvalidInputError, match="vertex_count must be nonnegative"):
+            Graph(-1)
+
     def test_rejects_self_loop(self):
         with pytest.raises(InvalidInputError):
             Graph(2, [(0, 0)])

@@ -1,6 +1,7 @@
 """Number-completion DP against product enumeration."""
 
 import random
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 import pytest
 
 from degkit import nce
+from degkit.errors import InvalidInputError
 from degkit.nce import (
+    DegreeListFunction,
     _max_rise,
     _rises,
     least_even_total,
@@ -189,3 +192,29 @@ def test_lists_without_a_rise_add_nothing_to_the_width_cap(dead):
     assert least_even_total(degrees, phi, 0, 10) is None
     assert reference_least_even_total(degrees, phi, 0, 10) is None
     assert nce_decide_all_targets(degrees, 10, 4, phi) == [False] * 11
+
+
+@pytest.mark.parametrize(
+    "build, reason",
+    [
+        (lambda: DegreeListFunction(-1, ()), "degree bound r must be nonnegative"),
+        (lambda: DegreeListFunction(2, (frozenset({1}), frozenset({0, 3}))), "vertex 1 leaves"),
+        (lambda: make_nce([0], -1, 1, [{0}]), "k must be nonnegative"),
+        (lambda: make_nce([0, 0], 0, 1, [{0}]), "a set to every index"),
+        (lambda: make_nce([-1], 0, 1, [{0}]), "degrees must be nonnegative"),
+        (lambda: nce_decide_all_targets([0], -1, 1, [{0}]), "k_max must be nonnegative"),
+    ],
+    ids=["negative-r", "list-above-r", "negative-k", "short-tau", "negative-degree", "negative-k-max"],
+)
+def test_rejects_invalid_input(build, reason):
+    with pytest.raises(InvalidInputError, match=reason):
+        build()
+
+
+def test_a_repeated_bad_list_names_a_vertex_that_holds_it():
+    # The check reads each distinct list once, yet still names a vertex.
+    bad = frozenset({1, 4})
+    lists = (frozenset({0, 1}),) * 40 + (bad, frozenset({2})) * 30
+    with pytest.raises(InvalidInputError, match=r"leaves the range 0\.\.3") as err:
+        DegreeListFunction(3, lists)
+    assert lists[int(re.search(r"vertex (\d+)", str(err.value))[1])] == bad

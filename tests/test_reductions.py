@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degkit.dce import brute_force_solve
+from degkit.dce import brute_force_solve, make_dce
 from degkit.errors import InvalidInputError
 from degkit.generators import gen_cubic
 from degkit.graph import Graph
 from degkit.reductions import (
+    ReductionOutput,
     approx_vertex_cover,
     clique_to_dce_eminus,
     clique_to_dce_vminus,
@@ -237,6 +238,25 @@ class TestProvenance:
         out = clique_to_dce_vminus(k4(), 3, {0, 1, 2})
         assert set(out.provenance) == set(range(out.instance.graph.vertex_count))
         assert any(role.startswith("watch") for role in out.provenance.values())
+
+    def test_rejects_a_vertex_without_a_role(self):
+        with pytest.raises(InvalidInputError, match="provenance must cover"):
+            ReductionOutput(make_dce(Graph(2), 0, 0, [{0}, {0}]), {0: "source-0"})
+
+
+@pytest.mark.parametrize(
+    "reduce, h, reason",
+    [
+        (vc_to_dce_vminus, -1, "cover size must be nonnegative"),
+        (is_to_dce_eplus, 0, "independent-set size must be positive"),
+        (clique_to_dce_eminus, 0, "clique size must be positive"),
+        (clique_to_dce_vminus, 0, "clique size must be positive"),
+    ],
+    ids=["vc", "is", "clique-e", "clique-v"],
+)
+def test_rejects_a_size_out_of_range(reduce, h, reason):
+    with pytest.raises(InvalidInputError, match=reason):
+        reduce(k4(), h)
 
 
 @st.composite

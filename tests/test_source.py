@@ -105,6 +105,15 @@ def test_one_function_seeds_factors():
     assert callers("_factor_via_gadget") == {"factors.py:f_factor"}
 
 
+def test_one_constructor_shares_lists_and_one_type_checks_them():
+    # make_dce is the one place where equal degree lists come to share a
+    # frozenset, and DegreeListFunction the one type that range-checks them;
+    # the number problem takes the completion instance's own lists, so
+    # neither a second sharing dict nor a second check can return.
+    assert callers("DegreeListFunction") == {"dce.py:make_dce", "nce.py:make_nce"}
+    assert callers("NceInstance") == {"nce.py:make_nce", "cli.py:_cmd_nce"}
+
+
 @pytest.mark.parametrize("writer", ["write_text", "sys.stdout.write", "print"])
 def test_only_main_writes_command_output(writer):
     # Every subcommand returns its text and main writes it once, to -o or to

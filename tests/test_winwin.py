@@ -56,6 +56,10 @@ class TestRealizeDemands:
         with pytest.raises(InvalidInputError):
             realize_demands(Graph(3), [-1, 1, 0])
 
+    def test_demand_of_the_wrong_length_rejected(self):
+        with pytest.raises(InvalidInputError, match="length 2, expected 3"):
+            realize_demands(Graph(3), [1, 1])
+
     def test_new_edges_disjoint_and_exact(self):
         rng = random.Random(321)
         for _ in range(60):
