@@ -64,6 +64,9 @@ def make_dce(
 # An edit is ("add", u, v), ("del", u, v) with u < v, or ("rm", v).
 Edit = tuple
 
+# The word that opens every edit of each kind.
+_WORDS = {EditKind.EDGE_ADDITION: "add", EditKind.EDGE_DELETION: "del", EditKind.VERTEX_DELETION: "rm"}
+
 
 @dataclass(frozen=True)
 class EditSolution:
@@ -139,12 +142,7 @@ def validate_solution(inst: DceInstance, sol: EditSolution) -> None:
     """Raise InvalidInputError unless sol is a valid solution of inst."""
     if len(sol.edits) > inst.k:
         raise InvalidInputError(f"{len(sol.edits)} edits exceed budget {inst.k}")
-    word = {
-        EditKind.EDGE_ADDITION: "add",
-        EditKind.EDGE_DELETION: "del",
-        EditKind.VERTEX_DELETION: "rm",
-    }[inst.op_kind]
-    degs, removed = edited_degrees(inst.graph, sol.edits, word)
+    degs, removed = edited_degrees(inst.graph, sol.edits, _WORDS[inst.op_kind])
     for v in _unsatisfied(degs, inst.tau.lists):
         if v not in removed:
             raise InvalidInputError(f"vertex {v} ends at degree {degs[v]} off its list")
@@ -321,111 +319,80 @@ class _Budget:
             )
 
 
-def _search_edges(inst: DceInstance, budget: _Budget, adding: bool) -> list[Edge] | None:
-    """Depth-first search anchored at the lowest unsatisfied vertex.
+def _search(inst: DceInstance, budget: _Budget) -> tuple[Edit, ...] | None:
+    """Depth-first search anchored at the lowest unsatisfied vertex, by
+    iterative deepening, so the first solution found is minimum.
 
-    Any minimal solution must change the degree of every vertex that is
-    unsatisfied along the way, so branching over the anchor's possible
-    partners is complete. Iterative deepening returns a minimum solution.
-    The unsatisfied vertices are kept as a set, updated with every degree
-    change, so a node costs their number rather than n.
+    Every solution must fix the anchor: an edge edit must touch it, and a
+    vertex deletion must delete it or one of its surviving neighbors, so
+    branching over those moves is complete. The unsatisfied survivors are
+    kept as a set, updated with every degree change, so a node costs their
+    number rather than n. Edge edits also prune when the unsatisfied
+    vertices need more degree change than the edits left can make.
     """
-    g, tau, n = inst.graph, inst.tau, inst.graph.vertex_count
+    g, lists, n = inst.graph, inst.tau.lists, inst.graph.vertex_count
+    word = _WORDS[inst.op_kind]
+    what = inst.op_kind.name.lower().replace("_", " ")
+    sign = -1 if word == "del" else 1
     degs = list(g.degrees())
-    targets = [sorted(tau[v]) for v in range(n)]
-    unsat = set(_unsatisfied(degs, tau.lists))
-    changed: set[Edge] = set()
-    sign = 1 if adding else -1
-    what = "edge addition" if adding else "edge deletion"
+    targets = {s: sorted(s) for s in set(lists)}
+    unsat = set(_unsatisfied(degs, lists))
+    # The edges edited (pairs) or the vertices deleted (ints), so `v in made`
+    # holds only for a deleted vertex, which leaves unsat.
+    made: set[Any] = set()
 
-    def shift_degree(v: int, by: int) -> None:
+    def shift(v: int, by: int) -> None:
         degs[v] += by
-        if degs[v] in tau[v]:
+        if degs[v] in lists[v] or v in made:
             unsat.discard(v)
         else:
             unsat.add(v)
 
+    def moves(v: int) -> list[Any]:
+        if word == "rm":
+            return [v] + [w for w in g.adj[v] if w not in made]
+        ends = g.adj[v] if word == "del" else [u for u in range(n) if u != v and not g.has_edge(u, v)]
+        return [e for e in (normalize_edge(u, v) for u in ends) if e not in made]
+
+    def apply(move: Any, by: int) -> None:
+        """Shift the degrees a made (by = 1) or unmade (by = -1) move changes."""
+        if word == "rm":
+            for w in g.adj[move]:
+                shift(w, -by)
+            shift(move, 0)
+        else:
+            shift(move[0], sign * by)
+            shift(move[1], sign * by)
+
     def prune(left: int) -> bool:
         need = 0
         for v in unsat:
-            shift = _min_shift(targets[v], degs[v], left, sign)
-            if shift is None:
+            cost = _min_shift(targets[lists[v]], degs[v], left, sign)
+            if cost is None:
                 return True
-            need += shift
+            need += cost
             if need > 2 * left:
                 return True
         return False
-
-    def partners(v: int) -> list[int]:
-        if adding:
-            return [
-                u
-                for u in range(n)
-                if u != v
-                and not g.has_edge(u, v)
-                and normalize_edge(u, v) not in changed
-            ]
-        return [u for u in g.adj[v] if normalize_edge(u, v) not in changed]
 
     def dfs(left: int) -> bool:
         budget.tick(what)
         if not unsat:
             return True
-        if left == 0 or prune(left):
+        if left == 0 or (word != "rm" and prune(left)):
             return False
-        v = min(unsat)
-        for u in partners(v):
-            e = normalize_edge(u, v)
-            changed.add(e)
-            shift_degree(u, sign)
-            shift_degree(v, sign)
+        for move in moves(min(unsat)):
+            made.add(move)
+            apply(move, 1)
             if dfs(left - 1):
                 return True
-            shift_degree(u, -sign)
-            shift_degree(v, -sign)
-            changed.discard(e)
+            made.discard(move)
+            apply(move, -1)
         return False
 
     for depth in range(inst.k + 1):
         if dfs(depth):
-            return sorted(changed)
-    return None
-
-
-def _search_vertex_deletions(inst: DceInstance, budget: _Budget) -> list[int] | None:
-    """Anchor at the lowest unsatisfied surviving vertex; it must either be
-    deleted itself or lose a current neighbor."""
-    g, lists = inst.graph, inst.tau.lists
-    degs = list(g.degrees())
-    removed: set[int] = set()
-
-    def delete(v: int) -> None:
-        removed.add(v)
-        for w in g.adj[v]:
-            degs[w] -= 1
-
-    def restore(v: int) -> None:
-        removed.discard(v)
-        for w in g.adj[v]:
-            degs[w] += 1
-
-    def dfs(left: int) -> bool:
-        budget.tick("vertex deletion")
-        v = next((v for v in _unsatisfied(degs, lists) if v not in removed), -1)
-        if v == -1:
-            return True
-        if left == 0:
-            return False
-        for u in [v] + [w for w in g.adj[v] if w not in removed]:
-            delete(u)
-            if dfs(left - 1):
-                return True
-            restore(u)
-        return False
-
-    for depth in range(inst.k + 1):
-        if dfs(depth):
-            return sorted(removed)
+            return tuple((word, m) if word == "rm" else (word, *m) for m in sorted(made))
     return None
 
 
@@ -437,20 +404,10 @@ def brute_force_solve(
     Complete anchored search; intended for small instances. Searches whose
     node count exceeds node_limit raise ResourceLimitError.
     """
-    budget = _Budget(node_limit)
-    if inst.op_kind is EditKind.VERTEX_DELETION:
-        removed = _search_vertex_deletions(inst, budget)
-        if removed is None:
-            return None
-        sol = EditSolution(tuple(("rm", v) for v in removed))
-    else:
-        adding = inst.op_kind is EditKind.EDGE_ADDITION
-        edges = _search_edges(inst, budget, adding)
-        if edges is None:
-            return None
-        tag = "add" if adding else "del"
-        sol = EditSolution(tuple((tag, u, v) for u, v in edges))
-    return recheck(validate_solution, inst, sol, "search answer fails validation")
+    edits = _search(inst, _Budget(node_limit))
+    if edits is None:
+        return None
+    return recheck(validate_solution, inst, EditSolution(edits), "search answer fails validation")
 
 
 def realize_e_plus(

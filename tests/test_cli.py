@@ -120,6 +120,14 @@ class TestSolveCommand:
         path = write(tmp_path, "triple.dce", TRIPLE)
         assert main(["solve", path, "--limit", "0"]) == 2
 
+    def test_deletion_search_limit_exit_code(self, tmp_path, capsys):
+        # No kernel or realization stands behind a deletion search, so its
+        # limit is the answer: exit 2 and nothing on stdout.
+        text = "p dce 3 3 2 0 v-\ne 1 2\ne 2 3\ne 1 3\nt 1 0\nt 2 0\nt 3 0\n"
+        path = write(tmp_path, "vd.dce", text)
+        assert main(["solve", path, "--limit", "1"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_zero_delta_prime_is_honoured(self, tmp_path, capsys):
         # The d line caps degrees at 0, and any added edge lifts a degree to
         # 1; without the line the cap is max degree + k = 1.

@@ -427,24 +427,31 @@ def test_core_set_stop_matches_the_reference(inst):
 @st.composite
 def _planted_dce(draw, op):
     """Small instances whose lists hold the degrees after up to three
-    planted edits of kind op, plus random extra entries."""
+    planted edits of kind op, plus random extra entries. After vertex
+    deletions that degree is each vertex's count of surviving neighbors."""
     n = draw(st.integers(1, 7))
     edges = [e for e in all_pairs(n) if draw(st.booleans())]
-    pool = sorted(set(all_pairs(n)) - set(edges)) if op is EditKind.EDGE_ADDITION else edges
-    planted = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True)) if pool else []
-    sign = 1 if op is EditKind.EDGE_ADDITION else -1
-    final = list(Graph(n, edges).degrees())
-    for u, v in planted:
-        final[u] += sign
-        final[v] += sign
+    g = Graph(n, edges)
+    final = list(g.degrees())
+    if op is EditKind.VERTEX_DELETION:
+        for v in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
+            for w in g.adj[v]:
+                final[w] -= 1
+    else:
+        pool = sorted(set(all_pairs(n)) - set(edges)) if op is EditKind.EDGE_ADDITION else edges
+        planted = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True)) if pool else []
+        sign = 1 if op is EditKind.EDGE_ADDITION else -1
+        for u, v in planted:
+            final[u] += sign
+            final[v] += sign
     r = max([3, *final])
     lists = [
         {final[v]} | draw(st.sets(st.integers(0, r), max_size=2)) for v in range(n)
     ]
-    return make_dce(Graph(n, edges), draw(st.integers(0, 3)), r, lists, op)
+    return make_dce(g, draw(st.integers(0, 3)), r, lists, op)
 
 
-@pytest.mark.parametrize("op", [EditKind.EDGE_ADDITION, EditKind.EDGE_DELETION])
+@pytest.mark.parametrize("op", list(EditKind))
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_brute_force_is_minimum(op, data):
@@ -493,6 +500,23 @@ class TestBruteForce:
     def test_node_limit(self):
         with pytest.raises(ResourceLimitError):
             brute_force_solve(triple_instance(), node_limit=2)
+
+    def test_vertex_deletion_scans_for_unsatisfied_vertices_once(self, monkeypatch):
+        # The square of a 2,000-cycle with four vertices listed {0, 1}: every
+        # deletion leaves neighbors off their list {4}, so the search expands
+        # hundreds of nodes to answer NO. It scans all n vertices once and
+        # then keeps the unsatisfied ones as a set, never rescanning per node.
+        n = 2000
+        g = Graph(n, sorted({tuple(sorted((v, (v + d) % n))) for v in range(n) for d in (1, 2)}))
+        lists = [{0, 1} if v % 500 == 0 else {4} for v in range(n)]
+        inst = make_dce(g, 4, 4, lists, EditKind.VERTEX_DELETION)
+        with pytest.raises(ResourceLimitError):
+            brute_force_solve(inst, node_limit=299)
+        scans = []
+        unsatisfied = dce._unsatisfied
+        monkeypatch.setattr(dce, "_unsatisfied", lambda *args: scans.append(args) or unsatisfied(*args))
+        assert brute_force_solve(inst) is None
+        assert len(scans) == 1
 
     @pytest.mark.parametrize(
         "op", [EditKind.EDGE_ADDITION, EditKind.EDGE_DELETION, EditKind.VERTEX_DELETION]
@@ -772,14 +796,14 @@ class TestWrongSearchAnswerIsADefect:
     bad input."""
 
     def test_edge_addition(self, monkeypatch):
-        monkeypatch.setattr(dce, "_search_edges", lambda *args: [(0, 1)])
+        monkeypatch.setattr(dce, "_search", lambda *args: (("add", 0, 1),))
         with pytest.raises(InternalInvariantError):
             brute_force_solve(triple_instance())
         with pytest.raises(InternalInvariantError):
             solve(triple_instance())
 
     def test_vertex_deletion(self, monkeypatch):
-        monkeypatch.setattr(dce, "_search_vertex_deletions", lambda *args: [0])
+        monkeypatch.setattr(dce, "_search", lambda *args: (("rm", 0),))
         inst = make_dce(k3(), 2, 0, [{0}] * 3, EditKind.VERTEX_DELETION)
         with pytest.raises(InternalInvariantError):
             brute_force_solve(inst)

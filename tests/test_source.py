@@ -86,6 +86,12 @@ def test_one_function_applies_edits():
     assert callers("edited_degrees") == {"dce.py:validate_solution", "dsc.py:validate_completion"}
 
 
+def test_one_search_for_every_edit_kind():
+    # Edge addition, edge deletion and vertex deletion share one anchored
+    # search, so a second copy with its own bookkeeping cannot return.
+    assert callers("_search") == {"dce.py:brute_force_solve"}
+
+
 def test_one_function_orders_search_and_realization():
     # Both completion problems hand realize_least only their exact search;
     # the order of search and realization from the threshold lives there,
