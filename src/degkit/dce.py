@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import compress, islice, repeat
-from operator import contains, lt
+from operator import contains, lt, sub
 from typing import Any
 
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
@@ -178,13 +178,13 @@ def _keep_only(inst: DceInstance, keep: Iterable[int]) -> DceInstance:
     order; each kept list shifts down by the neighbors its vertex lost,
     deg_G(old) - deg_kept(new), and make_dce shares the equal ones."""
     g, lists = inst.graph, inst.tau.lists
-    sub, old_of_new = induced_subgraph(g, keep)
+    induced, old_of_new = induced_subgraph(g, keep)
     degs = g.degrees()
     kept = []
-    for old, deg in zip(old_of_new, sub.degrees()):
+    for old, deg in zip(old_of_new, induced.degrees()):
         shift = degs[old] - deg
         kept.append(frozenset(t - shift for t in lists[old] if t >= shift))
-    return make_dce(sub, inst.k, inst.r, kept, inst.op_kind)
+    return make_dce(induced, inst.k, inst.r, kept, inst.op_kind)
 
 
 def safely_remove(inst: DceInstance, vertices: Iterable[int]) -> DceInstance:
@@ -418,7 +418,7 @@ def realize_e_plus(
 
     def witness(lo: int) -> tuple[int, list[int]] | None:
         found = least_even_total(degrees, inst.tau.lists, lo, inst.k)
-        return None if found is None else (found[0], [x - d for x, d in zip(found[1], degrees)])
+        return None if found is None else (found[0], list(map(sub, found[1], degrees)))
 
     return realize_least(inst.graph, witness, start, solution_threshold(inst.r), False, search)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
+from itertools import compress
 from operator import gt
 
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
@@ -193,10 +194,11 @@ def realize_demands(g: Graph, demand: DemandFunction) -> set[Edge] | None:
     demand = tuple(demand)
     if len(demand) != n:
         raise InvalidInputError(f"demand vector has length {len(demand)}, expected {n}")
-    if any(x < 0 for x in demand):
+    if min(demand, default=0) < 0:
         raise InvalidInputError("demands must be nonnegative")
-    sub, old_of_new = induced_subgraph(g, [v for v in range(n) if demand[v] > 0])
-    factor = f_factor(complement(sub), [demand[v] for v in old_of_new])
+    # No demand is negative, so the nonzero ones are the affected vertices.
+    sub, old_of_new = induced_subgraph(g, compress(range(n), demand))
+    factor = f_factor(complement(sub), list(filter(None, demand)))
     # old_of_new increases, so renamed edges keep u < v.
     return None if factor is None else {(old_of_new[u], old_of_new[v]) for u, v in factor}
 

@@ -2,14 +2,16 @@
 
 Given current degrees d_1..d_n, per-index allowed final degrees phi(i)
 within {0..r}, and a target total increase k, decide whether final degrees
-d_i' >= d_i with d_i' in phi(i) and sum(d_i' - d_i) = k exist. Solved by
-one bitset row per prefix: bit j of a row says the prefix can rise by
-exactly j in total. One table answers every target up to its width, and a
-witness for any of them is traced back from the same rows. The rises an
-index allows are worked out once per (degree, list) type, since a large
-instance has few types; the table keeps one row per index. The lists are
-a DegreeListFunction, the one degree-list type, which a completion
-instance hands to the number problem as it is.
+d_i' >= d_i with d_i' in phi(i) and sum(d_i' - d_i) = k exist. Bit j of a
+bitset says a total rise of exactly j is reachable. A large instance has
+few (degree, list) types, so the answer for every target up to a width
+comes from the types alone: each type's rises, worked out once, are applied
+once per index of the type until the set stops changing. A witness is
+traced back from per-index prefix rows, built only up to the shortest
+prefix that reaches the target past every index that must rise; every
+later index keeps its degree. The lists are a DegreeListFunction, the one
+degree-list type, which a completion instance hands to the number problem
+as it is.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
-from operator import contains, lt, sub
+from operator import contains, indexOf, lt, sub
 
 from .errors import InternalInvariantError, InvalidInputError
 
@@ -73,18 +75,64 @@ def make_nce(degrees: Sequence[int], k: int, r: int, phi: Sequence[Iterable[int]
     return NceInstance(tuple(degrees), k, DegreeListFunction(r, tuple(map(frozenset, phi))))
 
 
-def _rises(degrees: Sequence[int], phi: Sequence[frozenset[int]]) -> list[tuple[int, ...]]:
-    """Each index's allowed rises x - d, x >= d, in increasing order,
-    worked out once per distinct (degree, set) type."""
-    types = {(d, s): tuple(sorted(x - d for x in s if x >= d)) for d, s in set(zip(degrees, phi))}
-    return list(map(types.__getitem__, zip(degrees, phi)))
+_Census = dict[tuple[int, frozenset[int]], tuple[tuple[int, ...], int]]
 
 
-def _rows(rises: Sequence[tuple[int, ...]], k_max: int) -> list[int]:
-    """Row i holds the totals the first i indices can rise by, up to k_max."""
-    mask = (1 << (k_max + 1)) - 1
+def _rises(degrees: Sequence[int], phi: Sequence[frozenset[int]]) -> _Census:
+    """The type census: each distinct (degree, set) pair with its allowed
+    rises x - d, x >= d, in increasing order, and its number of indices."""
+    return {
+        (d, s): (tuple(sorted(x - d for x in s if x >= d)), count)
+        for (d, s), count in Counter(zip(degrees, phi)).items()
+    }
+
+
+def _max_rise(types: _Census) -> int:
+    """No index rises past the largest entry of its set, so no total is
+    larger; capping a table's width here keeps huge targets cheap."""
+    return sum(steps[-1] * count for steps, count in types.values() if steps)
+
+
+def _reach(
+    degrees: Sequence[int], phi: Sequence[frozenset[int]], width: int
+) -> tuple[_Census, int, int]:
+    """The type census, the width capped at the largest total, and the
+    bitset of the totals up to it that all indices reach together.
+
+    Each type's rises are applied once per index of the type to one masked
+    bitset; the order does not matter, since OR-convolution commutes and
+    masking commutes with nonnegative shifts, so this is the last row of
+    the per-index table. A type stops early at a fixpoint: a type with rise
+    0 only grows the set, and one without it empties it within width + 1
+    steps, so a type costs at most width + 2 steps whatever its count.
+    """
+    types = _rises(degrees, phi)
+    width = min(width, _max_rise(types))
+    mask = (1 << (width + 1)) - 1
+    reach = 1
+    for steps, count in types.values():
+        for _ in range(count):
+            grown = 0
+            for x in steps:
+                grown |= reach << x
+            grown &= mask
+            if grown == reach:
+                break
+            reach = grown
+        if not reach:
+            break
+    return types, width, reach
+
+
+def _rows(rises: Iterable[tuple[int, ...]], total: int, start: int) -> list[int]:
+    """Rows 0..m of the per-index table, row i the totals up to total that
+    the first i indices can rise by, where m is the first prefix from start
+    on whose row holds total, or the last prefix if none before does."""
+    mask = (1 << (total + 1)) - 1
     rows = [prev := 1]
     for steps in rises:
+        if len(rows) > start and prev >> total & 1:
+            break
         row = 0
         for x in steps:
             row |= prev << x
@@ -92,23 +140,29 @@ def _rows(rises: Sequence[tuple[int, ...]], k_max: int) -> list[int]:
     return rows
 
 
-def _max_rise(rises: Sequence[tuple[int, ...]]) -> int:
-    """No index rises past the largest entry of its set, so no total is
-    larger; capping a table's width here keeps huge targets cheap."""
-    return sum(steps[-1] * count for steps, count in Counter(rises).items() if steps)
+def _witness(
+    degrees: Sequence[int], phi: Sequence[frozenset[int]], types: _Census, total: int
+) -> tuple[int, ...]:
+    """The witness for a total the indices reach, tie-broken as in
+    nce_traceback.
 
-
-def _trace(
-    degrees: Sequence[int], phi: Sequence[frozenset[int]], rises: Sequence[tuple[int, ...]],
-    total: int, rows: Sequence[int],
-) -> tuple[int, ...] | None:
-    """A witness for total read from rows at least that wide, or None;
-    tie-breaking as in nce_traceback."""
+    Let start be one past the last index off its set, the last without rise
+    0. From there on the rows only grow, so from the first prefix m >= start
+    that reaches total on, the trace from the last index down gives every
+    index rise 0. Only rows 0..m are built and traced; each later index
+    keeps its degree.
+    """
+    steps_of = {t: steps for t, (steps, _) in types.items()}
+    start = 0
+    if any(0 not in steps for steps in steps_of.values()):
+        start = len(degrees) - indexOf(map(contains, reversed(phi), reversed(degrees)), False)
+    rows = _rows(map(steps_of.__getitem__, zip(degrees, phi)), total, start)
+    m = len(rows) - 1
+    head = degrees[:m]
     j = total
-    if not rows[-1] >> j & 1:
-        return None
     final = []
-    for d, steps, row in zip(reversed(degrees), reversed(rises), reversed(rows[:-1])):
+    back = map(steps_of.__getitem__, zip(reversed(head), reversed(phi[:m])))
+    for d, steps, row in zip(reversed(head), back, reversed(rows[:-1])):
         for x in steps:
             if x <= j and row >> (j - x) & 1:
                 final.append(d + x)
@@ -117,6 +171,7 @@ def _trace(
         else:
             raise InternalInvariantError("positive table entry has no predecessor")
     final.reverse()
+    final += degrees[m:]
     _validate_witness(degrees, phi, total, final)
     return tuple(final)
 
@@ -127,16 +182,13 @@ def least_even_total(
     """The least s in lo..hi whose total 2s the degrees reach on their
     lists, with a witness of final degrees traced as in nce_traceback, or
     None. Edge additions raise the degrees by an even total, so this is
-    the numeric question behind both e+ solving and the win-win."""
-    rises = _rises(degrees, phi)
-    top = min(hi, _max_rise(rises) // 2)
-    if top < lo:
-        return None
-    rows = _rows(rises, 2 * top)
-    s = next((s for s in range(lo, top + 1) if rows[-1] >> 2 * s & 1), None)
+    the numeric question behind both e+ solving and the win-win. Which s
+    is least comes from the types alone."""
+    types, width, reach = _reach(degrees, phi, 2 * max(hi, 0))
+    s = next((s for s in range(lo, min(hi, width // 2) + 1) if reach >> 2 * s & 1), None)
     if s is None:
         return None
-    return s, _trace(degrees, phi, rises, 2 * s, rows)
+    return s, _witness(degrees, phi, types, 2 * s)
 
 
 def nce_decide_all_targets(
@@ -146,8 +198,8 @@ def nce_decide_all_targets(
     inst = make_nce(degrees, 0, r, phi)
     if k_max < 0:
         raise InvalidInputError("k_max must be nonnegative")
-    last = _rows(_rises(inst.degrees, inst.tau.lists), k_max)[-1]
-    return [bool(last >> j & 1) for j in range(k_max + 1)]
+    reach = _reach(inst.degrees, inst.tau.lists, k_max)[2]
+    return [bool(reach >> j & 1) for j in range(k_max + 1)]
 
 
 def nce_traceback(inst: NceInstance) -> tuple[int, ...] | None:
@@ -155,14 +207,15 @@ def nce_traceback(inst: NceInstance) -> tuple[int, ...] | None:
 
     From the last index down, each index takes the smallest allowed final
     degree whose remaining total the shorter prefix still reaches, which
-    makes witnesses deterministic. A target above every reachable total
-    is a NO without a table.
+    makes witnesses deterministic. The answer comes from the types alone;
+    a witness builds rows only for the prefix it needs, and a target above
+    every reachable total is a NO without a table.
     """
     lists = inst.tau.lists
-    rises = _rises(inst.degrees, lists)
-    if inst.k > _max_rise(rises):
+    types, _, reach = _reach(inst.degrees, lists, inst.k)
+    if not reach >> inst.k & 1:
         return None
-    return _trace(inst.degrees, lists, rises, inst.k, _rows(rises, inst.k))
+    return _witness(inst.degrees, lists, types, inst.k)
 
 
 def _validate_witness(

@@ -218,3 +218,103 @@ def test_a_repeated_bad_list_names_a_vertex_that_holds_it():
     with pytest.raises(InvalidInputError, match=r"leaves the range 0\.\.3") as err:
         DegreeListFunction(3, lists)
     assert lists[int(re.search(r"vertex (\d+)", str(err.value))[1])] == bad
+
+
+def _placed_case(rng, n, r, placement, empty):
+    """Degrees and lists where every index keeps its degree on its list,
+    except one or two indices (none for "absent") that must rise, placed
+    last, first or mid-sequence; with `empty`, one further index has an
+    empty list, so no total at all is reachable."""
+    degrees = [rng.randrange(0, r + 1) for _ in range(n)]
+    phi = [
+        frozenset({d} | {x for x in range(r + 1) if rng.random() < 0.4})
+        for d in degrees
+    ]
+    spots = {"last": [n - 1], "first": [0], "mid": [n // 2, n // 2 + 1], "absent": []}[placement]
+    for i in spots:
+        degrees[i] = rng.randrange(0, r)
+        phi[i] = frozenset(x for x in range(degrees[i] + 1, r + 1) if rng.random() < 0.6) or frozenset({r})
+    if empty:
+        phi[rng.randrange(n)] = frozenset()
+    return degrees, phi
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["lists", "an-empty-list"])
+@pytest.mark.parametrize("placement", ["last", "first", "mid", "absent"])
+def test_every_entry_is_exact_wherever_an_index_must_rise(placement, empty):
+    # Small cases against both oracles: the yes/no answer of every target
+    # against brute_nce, and the witness of every even total against the
+    # reference table, traced from the end over every index.
+    rng = random.Random(f"{placement}-{empty}")
+    for _ in range(40):
+        n, r = rng.randrange(3, 7), rng.randrange(1, 4)
+        degrees, phi = _placed_case(rng, n, r, placement, empty)
+        k_max = r * n + 1
+        table = nce_decide_all_targets(degrees, k_max, r, phi)
+        for j in range(k_max + 1):
+            expect = brute_nce(degrees, j, phi)
+            assert table[j] == expect
+            witness = nce_traceback(make_nce(degrees, j, r, phi))
+            assert (witness is not None) == expect
+            if j % 2 == 0:
+                reference = reference_least_even_total(degrees, phi, j // 2, j // 2)
+                assert least_even_total(degrees, phi, j // 2, j // 2) == reference
+                assert witness == (None if reference is None else reference[1])
+        for lo in range(3):
+            found = least_even_total(degrees, phi, lo, k_max)
+            assert found == reference_least_even_total(degrees, phi, lo, k_max)
+
+
+@pytest.mark.parametrize("placement", ["last", "first", "mid", "absent"])
+def test_witnesses_on_few_types_equal_the_reference(placement):
+    # A few hundred indices of few types, where the shortest prefix that
+    # reaches a total stops well before the end unless an index that must
+    # rise sits late.
+    rng = random.Random(placement)
+    shapes = [(0, frozenset({0})), (1, frozenset({1})), (0, frozenset({0, 3})), (1, frozenset({1, 2}))]
+    for _ in range(10):
+        n = rng.randrange(100, 300)
+        picks = rng.choices(shapes, k=n)
+        degrees, phi = [d for d, _ in picks], [s for _, s in picks]
+        spots = {"last": [n - 1], "first": [0], "mid": [n // 3, 2 * n // 3], "absent": []}[placement]
+        for i in spots:
+            degrees[i], phi[i] = 0, frozenset({rng.choice([1, 2])})
+        for lo, hi in ((0, 60), (20, 40), (48, 200)):
+            found = least_even_total(degrees, phi, lo, hi)
+            assert found == reference_least_even_total(degrees, phi, lo, hi)
+            if found is not None:
+                assert nce_traceback(make_nce(degrees, 2 * found[0], 3, phi)) == found[1]
+
+
+def _counted_rows(monkeypatch):
+    built = []
+
+    def rows(*args):
+        table = real(*args)
+        built.append(len(table))
+        return table
+
+    real = nce._rows
+    monkeypatch.setattr(nce, "_rows", rows)
+    return built
+
+
+def test_witness_builds_rows_only_for_the_prefix_it_needs(monkeypatch):
+    # The benchmark's feasible r-only shape: every index may keep its
+    # degree, so the trace needs only the shortest prefix reaching 2s.
+    n, lo, k = 1500, 48, 200
+    degrees, phi = winwin_numbers(random.Random(1500), n, 3, 500, 900)
+    built = _counted_rows(monkeypatch)
+    found = least_even_total(degrees, phi, lo, k)
+    assert found == reference_least_even_total(degrees, phi, lo, k)
+    assert len(built) == 1 and built[0] < n // 10
+
+
+def test_odd_forced_clamp_builds_no_rows(monkeypatch):
+    # Five indices must rise by one, so every total is odd: the types alone
+    # answer NO, and no per-index row is built.
+    degrees, phi = winwin_numbers(random.Random(1505), 1500, 3, 500, 900, 5)
+    built = _counted_rows(monkeypatch)
+    assert least_even_total(degrees, phi, 48, 200) is None
+    assert nce_traceback(make_nce(degrees, 96, 3, phi)) is None
+    assert built == []

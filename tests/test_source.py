@@ -120,6 +120,17 @@ def test_one_constructor_shares_lists_and_one_type_checks_them():
     assert callers("NceInstance") == {"nce.py:make_nce", "cli.py:_cmd_nce"}
 
 
+def test_one_table_path_for_every_number_problem_entry():
+    # The three public NCE entries read the reachable totals from one type
+    # census, and the two that need a witness build prefix rows in one
+    # place, so no second per-index table can return beside it.
+    entries = {"nce.py:least_even_total", "nce.py:nce_traceback", "nce.py:nce_decide_all_targets"}
+    assert callers("_reach") == entries
+    assert callers("_rises") == {"nce.py:_reach"}
+    assert callers("_witness") == entries - {"nce.py:nce_decide_all_targets"}
+    assert callers("_rows") == {"nce.py:_witness"}
+
+
 @pytest.mark.parametrize("writer", ["write_text", "sys.stdout.write", "print"])
 def test_only_main_writes_command_output(writer):
     # Every subcommand returns its text and main writes it once, to -o or to
