@@ -124,15 +124,22 @@ def _reach(
     return types, width, reach
 
 
-def _rows(rises: Iterable[tuple[int, ...]], total: int, start: int) -> list[int]:
+def _rows(rises: list[tuple[int, ...]], tail: Iterable[tuple[int, ...]], total: int) -> list[int]:
     """Rows 0..m of the per-index table, row i the totals up to total that
-    the first i indices can rise by, where m is the first prefix from start
-    on whose row holds total, or the last prefix if none before does."""
+    the first i indices can rise by. Every index of rises gets a row; the
+    indices of tail follow until a row holds total, and their rises are
+    appended to rises, which then holds those of indices 0..m-1."""
     mask = (1 << (total + 1)) - 1
     rows = [prev := 1]
     for steps in rises:
-        if len(rows) > start and prev >> total & 1:
+        row = 0
+        for x in steps:
+            row |= prev << x
+        rows.append(prev := row & mask)
+    for steps in tail:
+        if prev >> total & 1:
             break
+        rises.append(steps)
         row = 0
         for x in steps:
             row |= prev << x
@@ -152,17 +159,16 @@ def _witness(
     index rise 0. Only rows 0..m are built and traced; each later index
     keeps its degree.
     """
-    steps_of = {t: steps for t, (steps, _) in types.items()}
+    rise_of = {t: steps for t, (steps, _) in types.items()}.__getitem__
     start = 0
-    if any(0 not in steps for steps in steps_of.values()):
+    if any(0 not in steps for steps, _ in types.values()):
         start = len(degrees) - indexOf(map(contains, reversed(phi), reversed(degrees)), False)
-    rows = _rows(map(steps_of.__getitem__, zip(degrees, phi)), total, start)
+    rises = list(map(rise_of, zip(degrees[:start], phi[:start])))
+    rows = _rows(rises, map(rise_of, zip(degrees[start:], phi[start:])), total)
     m = len(rows) - 1
-    head = degrees[:m]
     j = total
     final = []
-    back = map(steps_of.__getitem__, zip(reversed(head), reversed(phi[:m])))
-    for d, steps, row in zip(reversed(head), back, reversed(rows[:-1])):
+    for d, steps, row in zip(reversed(degrees[:m]), reversed(rises), reversed(rows[:-1])):
         for x in steps:
             if x <= j and row >> (j - x) & 1:
                 final.append(d + x)
