@@ -12,9 +12,8 @@ f-factors.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Callable, Sequence
-from itertools import compress
+from itertools import accumulate, compress
 from operator import gt
 
 from .errors import InternalInvariantError, InvalidInputError, ResourceLimitError
@@ -33,18 +32,17 @@ def f_factor(g: Graph, f: DemandFunction) -> set[Edge] | None:
     f = tuple(f)
     if len(f) != n:
         raise InvalidInputError(f"demand vector has length {len(f)}, expected {n}")
-    if any(x < 0 or x > g.degree(v) for v, x in enumerate(f)):
-        return None
-    if sum(f) % 2 == 1:
+    if min(f, default=0) < 0 or sum(f) % 2 == 1:
         return None
 
     # Zero-demand vertices never contribute factor edges; dropping them
-    # leaves the gadget only positive demands.
-    support = [v for v in range(n) if f[v] > 0]
+    # leaves the gadget only positive demands. A demand above its vertex's
+    # degree is above its degree in the support too.
+    support = list(compress(range(n), f))
     if not support:
         return set()
     sub, old_of_new = induced_subgraph(g, support)
-    fs = tuple(f[v] for v in old_of_new)
+    fs = tuple(filter(None, f))
     if any(map(gt, fs, sub.degrees())):
         return None
 
@@ -135,52 +133,51 @@ def _factor_via_gadget(g: Graph, h: tuple[int, ...]) -> set[Edge] | None:
     if not any(left):
         return {(u, v) for u, vs in enumerate(mates) for v in vs if u < v}
 
-    n = g.vertex_count
     adj = g.adj
-    # The stub of v towards its i-th neighbor is base[v] + i. Fillers are
-    # numbered after all stubs.
-    base = [0] * n
-    size = 0
-    for v in range(n):
-        base[v] = size
-        size += len(adj[v])
-
-    # The seed is the partial factor's bridges; every other stub of a cell
-    # is paired with a free filler of that cell, and only the demand left
-    # unmet starts an augmenting search.
-    partner = [-1] * size
-    bridges: list[tuple[int, int, int]] = []
+    # The stub of v towards its i-th neighbor is base[v] + i; owner[s] is
+    # the vertex of stub s, and fillers follow all stubs. A cell lists its
+    # stubs towards lower neighbors first, so walking the edges by their
+    # lower end u hands out v's stub for u at the cursor nxt[v], and at u's
+    # own turn nxt[u] has passed u's stubs towards lower neighbors. The seed
+    # is the partial factor's bridges, with each cell's other stubs paired to
+    # its fillers, so only the demand left unmet starts an augmenting search.
+    base = list(accumulate(map(len, adj), initial=0))
+    size = base[-1]
+    owner = [v for v, ns in enumerate(adj) for _ in ns]
+    partner = [0] * size
+    nxt = base[:-1]
     seed: list[Edge] = []
-    for u in range(n):
-        for i, v in enumerate(adj[u]):
-            if v > u:
-                a, b = base[u] + i, base[v] + bisect_left(adj[v], u)
-                partner[a], partner[b] = b, a
-                bridges.append((u, v, a))
-                if v in mates[u]:
-                    seed.append((a, b))
-    bridged = {s for pair in seed for s in pair}
+    for u, ns in enumerate(adj):
+        a = nxt[u]
+        for v in ns[a - base[u] :]:
+            b = nxt[v]
+            nxt[v] = b + 1
+            partner[a], partner[b] = b, a
+            if v in mates[u]:
+                seed.append((a, b))
+            a += 1
 
     # A stub's neighbors are its bridge partner and then its cell's fillers;
     # a filler's are its cell's stubs. Partners are stubs and so precede
     # every filler, which keeps each list increasing.
     gadget: list[tuple[int, ...]] = []
     filler_adj: list[tuple[int, ...]] = []
-    for v in range(n):
-        cell = range(base[v], base[v] + len(adj[v]))
+    for v, ns in enumerate(adj):
+        cell = range(base[v], base[v + 1])
         first = size + len(filler_adj)
-        fillers = tuple(range(first, first + len(adj[v]) - h[v]))
+        fillers = tuple(range(first, first + len(ns) - h[v]))
         gadget.extend((partner[s], *fillers) for s in cell)
         filler_adj.extend([tuple(cell)] * len(fillers))
-        seed.extend(zip((s for s in cell if s not in bridged), fillers))
+        seed.extend(zip((s for s in cell if owner[partner[s]] not in mates[v]), fillers))
     gadget += filler_adj
 
     matching = max_matching(Graph.from_sorted_adjacency(gadget), initial=seed)
     if 2 * len(matching) != len(gadget):
         return None
 
-    # a < partner[a]: cells are numbered in vertex order and bridges have u < v.
-    return {(u, v) for u, v, a in bridges if (a, partner[a]) in matching}
+    # Pairs of two stubs are bridges; cells are in vertex order, so a < b
+    # gives owner[a] < owner[b].
+    return {(owner[a], owner[b]) for a, b in matching if b < size}
 
 
 def realize_demands(g: Graph, demand: DemandFunction) -> set[Edge] | None:

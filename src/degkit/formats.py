@@ -34,6 +34,7 @@ makes. Every fault raises ParseError on the first line that shows it.
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import replace
 from typing import NoReturn
 
 from .dce import DceInstance, EditKind, EditSolution, make_dce
@@ -274,7 +275,7 @@ def serialize_instance(inst: DceInstance | DscInstance) -> str:
         lines.append(
             f"p dsc {g.vertex_count} {g.edge_count} {inst.k} {_property_spec(inst.prop)}"
         )
-        if inst.delta_prime != g.max_degree() + inst.k:
+        if inst.delta_prime != replace(inst, delta_prime=None).delta_prime:
             lines.append(f"d {inst.delta_prime}")
     for u, v in g.edges():
         lines.append(f"e {u + 1} {v + 1}")
@@ -310,6 +311,10 @@ def parse_solution(text: str) -> EditSolution | None:
         raise ParseError("empty solution")
     head_line, head = lines[0][0], lines[0][1].split()
     if head[0] == "NO":
+        if len(head) > 1:
+            raise ParseError("NO takes no tokens", head_line)
+        if len(lines) > 1:
+            raise ParseError("no line may follow NO", lines[1][0])
         return None
     if head[0] != "YES" or len(head) != 2:
         raise ParseError("solution must start with YES <count> or NO", head_line)

@@ -67,7 +67,7 @@ class Graph:
         self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self.vertex_count = len(self.adj)
         self._degrees: tuple[int, ...] = tuple(map(len, self.adj))
-        self._max_degree: int | None = None
+        self._max_degree = max(self._degrees, default=0)
 
     # -- queries ---------------------------------------------------------
 
@@ -83,9 +83,6 @@ class Graph:
         return self._degrees
 
     def max_degree(self) -> int:
-        # Worked out on the first call: the graph never changes after it.
-        if self._max_degree is None:
-            self._max_degree = max(self._degrees, default=0)
         return self._max_degree
 
     def has_edge(self, u: int, v: int) -> bool:

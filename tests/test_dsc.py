@@ -116,6 +116,9 @@ class TestNscDecide:
 
     def test_regular_pair_absent(self):
         assert pi_nsc_decide(regular_property(), [0, 0], 1, 1) is None
+        # A negative target or cap has no increments.
+        assert pi_nsc_decide(regular_property(), [1, 1], -1, 1) is None
+        assert pi_nsc_decide(regular_property(), [1, 1], 2, -1) is None
 
     def test_generic_fallback_h_index(self):
         # Two entries must reach 2; from (1,1,0) that takes total exactly 2.

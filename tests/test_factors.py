@@ -131,6 +131,29 @@ class TestFFactor:
         assert len(greedy_seed) == 1
         assert elapsed < 5.0
 
+    def test_dense_gadget_bridges_each_edge_by_two_stubs(self, greedy_seed):
+        # Every demand is positive, so the gadget is built on g itself: the
+        # stubs 0..2m-1 form one contiguous cell per vertex, and fillers
+        # follow them.
+        g = random_graph(40, 0.5, random.Random(40))
+        f = [max(1, d // 2) for d in g.degrees()]
+        if sum(f) % 2 == 1:
+            f[0] += 1
+        found = f_factor(g, f)
+        assert found is not None and is_valid_factor(g, f, found)
+        (gadget,) = greedy_seed
+        size = 2 * g.edge_count
+        owner = [v for v, d in enumerate(g.degrees()) for _ in range(d)]
+        partner = []
+        for s in range(size):
+            linked = [t for t in gadget.adj[s] if t < size]
+            assert len(linked) == 1
+            partner.append(linked[0])
+        assert all(partner[t] == s for s, t in enumerate(partner))
+        bridges = {(owner[s], owner[t]) for s, t in enumerate(partner) if s < t}
+        assert len(bridges) == g.edge_count and bridges == set(g.edges())
+        assert all(t < size for x in range(size, gadget.vertex_count) for t in gadget.adj[x])
+
     @pytest.mark.parametrize("wrong", [{(0, 2)}, {(0, 1)}])
     def test_a_wrong_factor_is_caught(self, monkeypatch, wrong):
         # C4 with all demands 1 takes the gadget's answer as it is, so a

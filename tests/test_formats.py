@@ -554,6 +554,8 @@ class TestSolutions:
             ("c a\nc b\nMAYBE\n", 3),
             ("\nYES x\n", 2),
             ("c a\nYES 2\n\nadd 1 2\n", 2),
+            ("NO 3\n", 1),
+            ("NO\nadd 1 2\n", 2),
         ],
     )
     def test_error_lines_count_comments_and_blanks(self, text, line):

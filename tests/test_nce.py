@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import pytest
 
 from degkit import nce
-from degkit.errors import InvalidInputError
+from degkit.errors import InternalInvariantError, InvalidInputError
 from degkit.nce import (
     DegreeListFunction,
     _max_rise,
@@ -318,3 +318,34 @@ def test_odd_forced_clamp_builds_no_rows(monkeypatch):
     assert least_even_total(degrees, phi, 48, 200) is None
     assert nce_traceback(make_nce(degrees, 96, 3, phi)) is None
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "final, reason",
+    [
+        ((1, 1), "decreases a degree"),
+        ((3, 2), "leaves an allowed-degree set"),
+        ((2, 3), "wrong total increase"),
+    ],
+)
+def test_a_bad_witness_is_a_defect(final, reason):
+    phi = [frozenset({2}), frozenset({1, 2, 3})]
+    with pytest.raises(InternalInvariantError, match=reason):
+        nce._validate_witness([2, 2], phi, 0, final)
+
+
+def test_a_traced_row_without_a_predecessor_is_a_defect(monkeypatch):
+    # Both indices must rise by one, so the trace reaches row 0, here
+    # cleared, with one unit left.
+    phi = [frozenset({1})] * 2
+    assert least_even_total([0, 0], phi, 1, 1) == (1, (1, 1))
+    real = nce._rows
+
+    def rows(*args):
+        table = real(*args)
+        table[0] = 0
+        return table
+
+    monkeypatch.setattr(nce, "_rows", rows)
+    with pytest.raises(InternalInvariantError, match="no predecessor"):
+        least_even_total([0, 0], phi, 1, 1)
