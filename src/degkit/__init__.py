@@ -11,7 +11,7 @@ instance transformers, and a DIMACS-flavored file format with a CLI.
 from .graph import Graph, complement, induced_subgraph
 from .matching import max_matching
 from .factors import f_factor
-from .nce import NceInstance, make_nce, nce_decide_all_targets, nce_traceback
+from .nce import NceInstance, make_nce, nce_traceback
 from .dce import (
     DceInstance,
     DegreeListFunction,
@@ -24,7 +24,6 @@ from .dce import (
     kernelize_kr,
     make_dce,
     rule2_check,
-    safely_remove,
     solve_e_plus,
     validate_solution,
 )
@@ -45,7 +44,6 @@ from .dsc import (
     dsc_fpt_solve,
     dsc_solve,
     h_index_property,
-    pi_nsc_decide,
     regular_property,
     solve,
 )

@@ -231,15 +231,18 @@ def build_parser() -> _Parser:
     p.add_argument("-s", "--budget", type=int, required=True)
     p.set_defaults(func=_cmd_anonymize)
 
-    p = sub.add_parser("gen", parents=[output], help="generate instances")
-    p.add_argument("kind", choices=("dce", "cubic"))
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("gen", help="generate instances")
+    p.set_defaults(func=_cmd_gen)
+    size = argparse.ArgumentParser(add_help=False, parents=[output])
+    size.add_argument("--n", type=int, required=True)
+    size.add_argument("--seed", type=int, default=0, help="generator seed")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    p = kinds.add_parser("dce", parents=[size], help="random graph with random degree lists")
     p.add_argument("--edge-prob", type=float, default=0.2)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.set_defaults(func=_cmd_gen)
+    kinds.add_parser("cubic", parents=[size], help="random 3-regular graph, every list {3}")
 
     p = sub.add_parser("bench", help="run a corpus, record JSONL")
     p.add_argument("corpus")

@@ -304,22 +304,7 @@ def _min_shift(sorted_targets: list[int], deg: int, budget: int, sign: int) -> i
     return None
 
 
-class _Budget:
-    __slots__ = ("nodes", "limit")
-
-    def __init__(self, limit: int):
-        self.nodes = 0
-        self.limit = limit
-
-    def tick(self, what: str) -> None:
-        self.nodes += 1
-        if self.nodes > self.limit:
-            raise ResourceLimitError(
-                f"{what}: exhaustive search exceeded {self.limit} nodes"
-            )
-
-
-def _search(inst: DceInstance, budget: _Budget) -> tuple[Edit, ...] | None:
+def _search(inst: DceInstance, node_limit: int) -> tuple[Edit, ...] | None:
     """Depth-first search anchored at the lowest unsatisfied vertex, by
     iterative deepening, so the first solution found is minimum.
 
@@ -340,6 +325,7 @@ def _search(inst: DceInstance, budget: _Budget) -> tuple[Edit, ...] | None:
     # The edges edited (pairs) or the vertices deleted (ints), so `v in made`
     # holds only for a deleted vertex, which leaves unsat.
     made: set[Any] = set()
+    nodes = 0
 
     def shift(v: int, by: int) -> None:
         degs[v] += by
@@ -376,7 +362,10 @@ def _search(inst: DceInstance, budget: _Budget) -> tuple[Edit, ...] | None:
         return False
 
     def dfs(left: int) -> bool:
-        budget.tick(what)
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_limit:
+            raise ResourceLimitError(f"{what}: exhaustive search exceeded {node_limit} nodes")
         if not unsat:
             return True
         if left == 0 or (word != "rm" and prune(left)):
@@ -404,7 +393,7 @@ def brute_force_solve(
     Complete anchored search; intended for small instances. Searches whose
     node count exceeds node_limit raise ResourceLimitError.
     """
-    edits = _search(inst, _Budget(node_limit))
+    edits = _search(inst, node_limit)
     if edits is None:
         return None
     return recheck(validate_solution, inst, EditSolution(edits), "search answer fails validation")

@@ -78,7 +78,10 @@ def gen_cubic(n: int, seed: int) -> Graph:
 def gen_from_reduction(
     kind: str, source: Graph, h: int, x: set[int] | None = None
 ) -> ReductionOutput:
-    """Apply one of the named constructions to a source graph."""
+    """Apply one of the named constructions to a source graph; only the
+    clique constructions take a cover x."""
+    if x is not None and kind in ("vc", "is"):
+        raise InvalidInputError(f"reduction {kind!r} takes no cover; only clique-e and clique-v do")
     if kind == "vc":
         return vc_to_dce_vminus(source, h)
     if kind == "is":

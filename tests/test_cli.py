@@ -28,12 +28,14 @@ VALID_ARGV = {
     "reduce": ["reduce", "x.dce", "--from", "vc", "--size", "2"],
     "anonymize": ["anonymize", "x.dsc", "-k", "2", "-s", "1"],
     "gen": ["gen", "dce", "--n", "4"],
+    "gen cubic": ["gen", "cubic", "--n", "4"],
     "bench": ["bench", "corpus", "--records", "r.jsonl"],
 }
 READS = {
     "solve": ("-o", "--verify", "--limit"),
     "anonymize": ("-o", "--verify"),
     "gen": ("-o", "--seed"),
+    "gen cubic": ("-o", "--seed"),
     "bench": (),
 }
 SRC = str(Path(degkit.__file__).resolve().parents[1])
@@ -86,8 +88,13 @@ class TestGenerators:
             (lambda: gen_random_dce(3, 1.5, 1, 1, 0.5, 0), r"lie in \[0, 1\]"),
             (lambda: gen_random_dce(3, 0.2, 1, 1, -0.1, 0), r"lie in \[0, 1\]"),
             (lambda: gen_from_reduction("tsp", gen_cubic(4, 0), 1), "unknown reduction kind 'tsp'"),
+            (lambda: gen_from_reduction("vc", gen_cubic(4, 0), 1, {0}), "'vc' takes no cover"),
+            (lambda: gen_from_reduction("is", gen_cubic(4, 0), 1, {0}), "'is' takes no cover"),
         ],
-        ids=["negative-n", "negative-k", "negative-r", "edge-prob", "density", "unknown-kind"],
+        ids=[
+            "negative-n", "negative-k", "negative-r", "edge-prob", "density", "unknown-kind",
+            "vc-cover", "is-cover",
+        ],
     )
     def test_rejects_invalid_input(self, build, reason):
         with pytest.raises(InvalidInputError, match=reason):
@@ -348,6 +355,16 @@ class TestOtherCommands:
         assert captured.out == ""
         assert "InvalidInputError" in captured.err and "out of range" in captured.err
 
+    @pytest.mark.parametrize("source", ["vc", "is"])
+    def test_reduce_rejects_a_cover_it_would_ignore(self, tmp_path, capsys, source):
+        # Only the clique constructions read a cover, so any other is refused.
+        path = write(tmp_path, "k3.dce", "p dce 3 3 0 2\ne 1 2\ne 2 3\ne 1 3\n")
+        argv = ["reduce", path, "--from", source, "--size", "2", "--cover", "1,2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "InvalidInputError" in captured.err and "takes no cover" in captured.err
+
 
 @pytest.mark.parametrize(
     "fault",
@@ -444,10 +461,12 @@ def test_library_import_leaves_out_the_command_line():
         for flag in ("--seed=1", "--verify", "--limit=1", "-o=out")
         if flag.split("=")[0] not in READS.get(cmd, ("-o",))
     ]
-    + [("bench", "--jobs=2"), ("solve", "--delta-prime=0")],
+    + [("bench", "--jobs=2"), ("solve", "--delta-prime=0")]
+    + [("gen cubic", flag) for flag in ("--edge-prob=0.5", "--k=1", "--r=1", "--density=0.5")],
 )
 def test_options_a_command_does_not_read_are_rejected(cmd, flag, capsys, tmp_path, monkeypatch):
-    # solve takes no degree cap: an instance's d line sets it.
+    # solve takes no degree cap: an instance's d line sets it. A cubic graph
+    # takes none of the random instance's knobs.
     monkeypatch.chdir(tmp_path)
     build_parser().parse_args(VALID_ARGV[cmd])
     with pytest.raises(SystemExit) as err:
@@ -467,18 +486,41 @@ def test_readme_library_sketch_runs():
     assert len(names["edges"]) == 2
 
 
+def _subcommands(parser):
+    """The parsers of parser's subcommands by name; none for a leaf."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return actions[0].choices if actions else {}
+
+
+def _leaves(parser, path=()):
+    """Every parser that takes no further subcommand, by its words."""
+    children = _subcommands(parser)
+    if not children:
+        yield path, parser
+    for name, child in children.items():
+        yield from _leaves(child, (*path, name))
+
+
 def test_readme_command_line_block_matches_the_parser():
-    # Every flag the README's synopsis shows is accepted by its subcommand,
-    # and every option of every subcommand is shown in one of its spellings.
+    # Every flag the README's synopsis shows is accepted by its command, and
+    # every option of every command is shown in one of its spellings. A
+    # command is the words that pick a leaf parser, so each `gen` kind is
+    # checked against its own flags.
     text = README.read_text().split("## Command line", 1)[1]
     block = text.split("```sh\n", 1)[1].split("```", 1)[0]
-    shown: dict[str, set[str]] = {}
+    root = build_parser()
+    parsers = dict(_leaves(root))
+    shown: dict[tuple[str, ...], set[str]] = {}
     for line in block.splitlines():
         flags = re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", line)
-        shown.setdefault(line.split()[1], set()).update(flags)
-    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(shown) == set(sub.choices)
-    for cmd, parser in sub.choices.items():
+        path, parser = (), root
+        for word in line.split()[1:]:
+            if word not in _subcommands(parser):
+                break
+            path, parser = (*path, word), _subcommands(parser)[word]
+        shown.setdefault(path, set()).update(flags)
+    assert set(shown) == set(parsers)
+    for cmd, parser in parsers.items():
         accepted = set(parser._option_string_actions)
         assert shown[cmd] <= accepted, (cmd, shown[cmd] - accepted)
         for action in parser._actions:

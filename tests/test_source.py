@@ -1,10 +1,13 @@
 """Properties of the library source itself."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import pytest
+
+import degkit
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "degkit").glob("*.py"))
 
@@ -90,6 +93,25 @@ def test_one_search_for_every_edit_kind():
     # Edge addition, edge deletion and vertex deletion share one anchored
     # search, so a second copy with its own bookkeeping cannot return.
     assert callers("_search") == {"dce.py:brute_force_solve"}
+
+
+def test_only_the_two_exact_searches_raise_a_resource_limit():
+    # The anchored search counts its nodes and the block-set enumeration its
+    # candidates; nothing else stops on a budget, so one run-statistics
+    # object has exactly these two places to take over.
+    assert callers("ResourceLimitError") == {"dce.py:_search", "dce.py:dfs", "dsc.py:dsc_fpt_solve"}
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("dce", "safely_remove"), ("nce", "nce_decide_all_targets"), ("dsc", "pi_nsc_decide")],
+)
+def test_uncalled_functions_stay_off_the_package_root(module, name):
+    # No library code calls these; they live on in their modules, where the
+    # benchmark's tracer names them, but the package root does not export them.
+    assert not hasattr(degkit, name)
+    assert name not in degkit.__all__
+    assert callable(getattr(importlib.import_module(f"degkit.{module}"), name))
 
 
 def test_one_function_orders_search_and_realization():
